@@ -1,6 +1,6 @@
 // Benchmarks regenerating the paper's evaluation artefacts, one per table
-// or figure (see DESIGN.md experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured results):
+// or figure (see the experiment index and the recorded paper-vs-measured
+// results in EXPERIMENTS.md):
 //
 //	E1 (Fig. 2)  BenchmarkFig2ConvoyEffectSkeen
 //	E2 (Fig. 5)  BenchmarkFig5CollisionFreeWbCast

@@ -19,9 +19,12 @@ const (
 	// subscriber always sees the most recent deliveries; drops are counted
 	// by Subscription.Dropped.
 	DropOldest
-	// DropNewest discards the incoming delivery when the buffer is full.
-	// The subscriber keeps an uninterrupted prefix; drops are counted by
-	// Subscription.Dropped.
+	// DropNewest discards the incoming delivery when the buffer is full,
+	// and every later one until the subscriber has drained the buffer.
+	// The subscriber thus sees uninterrupted runs, each ending at an
+	// overflow and the next starting only once it has caught up; a
+	// subscriber that never falls behind by more than the buffer sees
+	// every delivery. Drops are counted by Subscription.Dropped.
 	DropNewest
 )
 
@@ -53,6 +56,9 @@ type Subscription struct {
 	head   int
 	count  int
 	closed bool
+	// dropping is set by a DropNewest overflow and cleared once the
+	// buffer has drained.
+	dropping bool
 
 	dropped atomic.Uint64
 	out     chan Delivery
@@ -110,17 +116,18 @@ func (s *Subscription) push(d Delivery) {
 		s.mu.Unlock()
 		return
 	}
-	if s.count == len(s.buf) {
-		switch s.policy {
-		case DropOldest:
-			s.head = (s.head + 1) % len(s.buf)
-			s.count--
-			s.dropped.Add(1)
-		case DropNewest:
+	if s.policy == DropNewest {
+		s.dropping = s.count == len(s.buf) || (s.dropping && s.count > 0)
+		if s.dropping {
 			s.mu.Unlock()
 			s.dropped.Add(1)
 			return
 		}
+	}
+	if s.count == len(s.buf) && s.policy == DropOldest {
+		s.head = (s.head + 1) % len(s.buf)
+		s.count--
+		s.dropped.Add(1)
 	}
 	s.buf[(s.head+s.count)%len(s.buf)] = d
 	s.count++

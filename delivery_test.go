@@ -61,24 +61,36 @@ func TestDeliveriesDropOldest(t *testing.T) {
 }
 
 func TestDeliveriesDropNewest(t *testing.T) {
-	const n = 20
-	s := newSubscription(4, DropNewest)
+	const n, buffer = 20, 4
+	s := newSubscription(buffer, DropNewest)
 	defer s.Close()
 	for i := 1; i <= n; i++ {
 		s.push(testDelivery(i))
 	}
 	got := drain(s, 500*time.Millisecond)
-	// DropNewest keeps an uninterrupted prefix: 1..len(got).
+	// Nobody consumed during the pushes, so the buffer never drained: the
+	// first overflow started a gap that lasts to the end. What survives is
+	// the prefix 1..len(got): the buffer's worth, plus at most the one
+	// delivery the pump had already taken.
 	for i, d := range got {
 		if d.Msg.ID.Seq() != uint32(i+1) {
 			t.Fatalf("delivery %d is seq %d, want the contiguous prefix (seq %d)", i, d.Msg.ID.Seq(), i+1)
 		}
 	}
+	if len(got) < buffer || len(got) > buffer+1 {
+		t.Errorf("received %d deliveries, want %d or %d", len(got), buffer, buffer+1)
+	}
 	if want := uint64(n - len(got)); s.Dropped() != want {
 		t.Errorf("Dropped() = %d, want %d", s.Dropped(), want)
 	}
-	if s.Dropped() == 0 {
-		t.Error("expected drops with buffer 4 and 20 unconsumed deliveries")
+	// Once the subscriber has drained the buffer, the next run starts.
+	for i := n + 1; i <= n+buffer; i++ {
+		s.push(testDelivery(i))
+	}
+	next := drain(s, 500*time.Millisecond)
+	if len(next) != buffer || next[0].Msg.ID.Seq() != n+1 {
+		t.Errorf("after the drain received %d deliveries starting at %v, want %d starting at seq %d",
+			len(next), next, buffer, n+1)
 	}
 }
 

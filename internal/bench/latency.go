@@ -12,7 +12,7 @@ import (
 )
 
 // LatencyRow is one line of the message-delay latency table (experiment E3
-// in DESIGN.md): measured collision-free and failure-free delivery
+// in EXPERIMENTS.md): measured collision-free and failure-free delivery
 // latencies of one protocol, in units of δ.
 type LatencyRow struct {
 	Protocol      string

@@ -10,6 +10,23 @@
 // constant, so FIFO ordering is preserved by construction (delivery
 // deadlines on a link are monotone).
 //
+// # Goroutines and the clock
+//
+// A Network runs one goroutine per process plus, when a latency is
+// configured, one clock goroutine. A send stamps the message with its
+// deadline and enqueues it straight into the receiver's mailbox. The
+// receiver handles it once due; until then it keeps it in a
+// process-local deadline heap. A process with nothing due parks and
+// publishes its earliest deadline, and the clock wakes every process
+// whose deadline has passed, then sleeps until the next one.
+//
+// The clock has to be precise: the LAN delay is 50 µs, but the runtime's
+// timers on Linux wait in epoll_wait, whose timeout is in whole
+// milliseconds, so an idle process would turn every delay into 1 ms. So
+// on Linux the clock sleeps waits under 1 ms in nanosleep. Longer waits,
+// and every wait elsewhere, use one runtime timer. Protocol timers
+// (node.Effects.Timers) are separate time.AfterFunc timers.
+//
 // # Layering
 //
 // live is the goroutine runtime driving node.Handler in real time — the

@@ -2,7 +2,11 @@ package live
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wbcast/internal/mcast"
@@ -37,26 +41,68 @@ type Config struct {
 // Network hosts a set of processes. Construct with New, register handlers
 // with Add, then Start; Close stops and joins every goroutine.
 type Network struct {
-	cfg     Config
+	cfg Config
+	// epoch is the origin of the network clock (now): deadlines are
+	// monotonic nanoseconds since it.
+	epoch time.Time
+	// procs is the copy-on-write process table, read without locking on
+	// every send and by the clock; Add replaces it under mu.
+	procs   atomic.Pointer[procTable]
 	mu      sync.Mutex
-	procs   map[mcast.ProcessID]*proc
 	started bool
 	closed  bool
+	quit    chan struct{}
 	wg      sync.WaitGroup
+
+	// clockAt is the deadline the clock goroutine sleeps until (never
+	// when it has nothing to wait for); kick wakes it early.
+	clockAt atomic.Int64
+	kick    chan struct{}
 }
+
+type procTable struct {
+	byID map[mcast.ProcessID]*proc
+	all  []*proc
+}
+
+// never is the deadline of "nothing to wait for".
+const never = math.MaxInt64
+
+// heldCap is the preallocated capacity of each process's deadline heap,
+// 48 KiB of envelopes: the bytes of the per-process delay channel it
+// replaced (1024 slots of a 48-byte envelope). Set-up time is paced by
+// the GC: with less memory held per process, building a cluster in a
+// benchmark ran an extra GC cycle.
+const heldCap = 1536
 
 // New creates an empty network.
 func New(cfg Config) *Network {
 	if cfg.MailboxSize <= 0 {
 		cfg.MailboxSize = 64
 	}
-	return &Network{cfg: cfg, procs: make(map[mcast.ProcessID]*proc)}
+	n := &Network{
+		cfg:   cfg,
+		epoch: time.Now(),
+		quit:  make(chan struct{}),
+		kick:  make(chan struct{}, 1),
+	}
+	n.procs.Store(&procTable{byID: map[mcast.ProcessID]*proc{}})
+	n.clockAt.Store(never)
+	return n
 }
 
+// now reads the network clock: monotonic nanoseconds since New.
+func (n *Network) now() int64 { return int64(time.Since(n.epoch)) }
+
+func (n *Network) lookup(pid mcast.ProcessID) *proc { return n.procs.Load().byID[pid] }
+
 type envelope struct {
-	in        node.Input
-	deliverAt time.Time
-	seq       uint64
+	in node.Input
+	// deliverAt is the network-clock time before which the input must
+	// not be handled; 0 means immediately.
+	deliverAt int64
+	// seq orders held envelopes with equal deadlines by arrival.
+	seq uint64
 }
 
 type proc struct {
@@ -64,8 +110,6 @@ type proc struct {
 	pid     mcast.ProcessID
 	h       node.Handler
 	store   wal.Storage
-	delayIn chan envelope
-	quit    chan struct{}
 	crashed chan struct{}
 	crashMu sync.Once
 
@@ -76,9 +120,17 @@ type proc struct {
 	// enqueued by that sender's goroutine in send order, and the ring
 	// preserves per-producer FIFO, so per-link FIFO is preserved.
 	box *ring.MPSC[envelope]
-	// wake nudges mainLoop after an enqueue (capacity 1: a pending
-	// wake-up covers any number of enqueues).
+	// wake nudges mainLoop after an enqueue or a due deadline (capacity
+	// 1: a pending wake-up covers any number of them).
 	wake chan struct{}
+
+	// held keeps the dequeued envelopes that are not yet due, ordered
+	// by (deliverAt, seq); owned by mainLoop.
+	held    delayHeap
+	heldSeq uint64
+	// due is the earliest held deadline while mainLoop is parked, or
+	// never: the clock wakes the process once it passes.
+	due atomic.Int64
 }
 
 // post enqueues an input for the process. It never blocks (ring spills
@@ -86,6 +138,10 @@ type proc struct {
 // cycles between processes.
 func (p *proc) post(env envelope) {
 	p.box.Enqueue(env)
+	p.nudge()
+}
+
+func (p *proc) nudge() {
 	select {
 	case p.wake <- struct{}{}:
 	default: // a wake-up is already pending
@@ -107,7 +163,8 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 		return fmt.Errorf("live: Add after Close")
 	}
 	pid := h.ID()
-	if _, dup := n.procs[pid]; dup {
+	old := n.procs.Load()
+	if _, dup := old.byID[pid]; dup {
 		return fmt.Errorf("live: duplicate process %d", pid)
 	}
 	p := &proc{
@@ -115,13 +172,15 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 		pid:     pid,
 		h:       h,
 		store:   st,
-		delayIn: make(chan envelope, 1024),
-		quit:    make(chan struct{}),
 		crashed: make(chan struct{}),
 		box:     ring.New[envelope](n.cfg.MailboxSize),
 		wake:    make(chan struct{}, 1),
+		held:    make(delayHeap, 0, heldCap),
 	}
-	n.procs[pid] = p
+	p.due.Store(never)
+	tab := &procTable{byID: maps.Clone(old.byID), all: append(slices.Clip(old.all), p)}
+	tab.byID[pid] = p
+	n.procs.Store(tab)
 	if n.started {
 		n.launch(p)
 	}
@@ -129,13 +188,13 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 }
 
 func (n *Network) launch(p *proc) {
-	n.wg.Add(2)
-	go p.delayLoop()
+	n.wg.Add(1)
 	go p.mainLoop()
 	p.post(envelope{in: node.Start{}})
 }
 
-// Start launches every process goroutine and delivers the Start input.
+// Start launches every process goroutine, plus the clock when a latency
+// is configured, and delivers the Start input.
 func (n *Network) Start() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -143,36 +202,33 @@ func (n *Network) Start() error {
 		return fmt.Errorf("live: already started")
 	}
 	n.started = true
-	for _, p := range n.procs {
+	if n.cfg.Latency != nil {
+		n.wg.Add(1)
+		go n.clockLoop()
+	}
+	for _, p := range n.procs.Load().all {
 		n.launch(p)
 	}
 	return nil
 }
 
-// Close stops all processes and waits for their goroutines to exit.
+// Close stops all processes and the clock and waits for their goroutines
+// to exit.
 func (n *Network) Close() {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		n.wg.Wait()
-		return
+	if !n.closed {
+		n.closed = true
+		close(n.quit)
 	}
-	n.closed = true
-	procs := n.procs
 	n.mu.Unlock()
-	for _, p := range procs {
-		close(p.quit)
-	}
 	n.wg.Wait()
 }
 
 // Crash stops delivering inputs to pid (crash-stop fault injection). The
-// process goroutines keep draining their queues but discard everything.
+// process goroutine keeps draining its queue but discards everything,
+// delayed input included.
 func (n *Network) Crash(pid mcast.ProcessID) {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if ok {
+	if p := n.lookup(pid); p != nil {
 		p.crashMu.Do(func() { close(p.crashed) })
 	}
 }
@@ -182,26 +238,20 @@ func (n *Network) Crash(pid mcast.ProcessID) {
 // (ring + overflow), so sustained overload shows up here rather than as
 // sender backpressure.
 func (n *Network) MailboxHighWater(pid mcast.ProcessID) int64 {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
-		return 0
+	if p := n.lookup(pid); p != nil {
+		return p.box.HighWater()
 	}
-	return p.box.HighWater()
+	return 0
 }
 
 // MailboxDepth returns the current input-mailbox depth at pid, or 0 if
 // pid is unknown (an instantaneous gauge; MailboxHighWater is its
 // maximum).
 func (n *Network) MailboxDepth(pid mcast.ProcessID) int64 {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
-		return 0
+	if p := n.lookup(pid); p != nil {
+		return p.box.Depth()
 	}
-	return p.box.Depth()
+	return 0
 }
 
 // Submit posts a Submit input to a client process. It never blocks;
@@ -213,14 +263,12 @@ func (n *Network) Submit(pid mcast.ProcessID, m mcast.AppMsg) error {
 
 // Inject posts an arbitrary input to a process.
 func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
-	n.mu.Lock()
-	p, ok := n.procs[pid]
-	n.mu.Unlock()
-	if !ok {
+	p := n.lookup(pid)
+	if p == nil {
 		return fmt.Errorf("live: unknown process %d", pid)
 	}
 	select {
-	case <-p.quit:
+	case <-n.quit:
 		return fmt.Errorf("live: network closed")
 	default:
 	}
@@ -228,33 +276,89 @@ func (n *Network) Inject(pid mcast.ProcessID, in node.Input) error {
 	return nil
 }
 
-// mainLoop serialises a handler's inputs, draining the ring mailbox in
-// arrival order. It is the single consumer of p.box.
+// passMax bounds one drain of the mailbox, so held envelopes that fall
+// due during a long drain are not starved by new arrivals.
+const passMax = 64
+
+// mainLoop serialises a handler's inputs. It is the single consumer of
+// p.box. Each pass first handles the held envelopes that are due, then
+// drains the mailbox: due envelopes are handled at once and the others
+// held. Per-link FIFO holds because a link's deadlines are monotone: a
+// due mailbox envelope's predecessors on its link were due too, and were
+// handled before it (from the mailbox, or from held at the start of this
+// pass).
 func (p *proc) mainLoop() {
 	defer p.net.wg.Done()
 	var fx node.Effects
 	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.wake:
+		now := p.net.now()
+		for len(p.held) > 0 && p.held[0].deliverAt <= now {
+			if !p.handle(p.held.popMin(), &fx) {
+				return
+			}
 		}
-		for {
+		drained := false
+		for i := 0; i < passMax; i++ {
 			env, ok := p.box.Dequeue()
 			if !ok {
+				drained = true
 				break
 			}
-			select {
-			case <-p.quit:
+			if env.deliverAt > now {
+				p.heldSeq++
+				env.seq = p.heldSeq
+				p.held.push(env)
+				continue
+			}
+			if !p.handle(env, &fx) {
 				return
-			case <-p.crashed:
-				// Crashed processes discard all input.
-			default:
-				fx.Reset()
-				p.h.Handle(env.in, &fx)
-				p.apply(&fx)
 			}
 		}
+		if drained && !p.park() {
+			return
+		}
+	}
+}
+
+// handle runs one input through the handler, unless the process has
+// crashed. It reports false once the network is closed.
+func (p *proc) handle(env envelope, fx *node.Effects) bool {
+	select {
+	case <-p.net.quit:
+		return false
+	case <-p.crashed:
+		// Crashed processes discard all input.
+	default:
+		fx.Reset()
+		p.h.Handle(env.in, fx)
+		p.apply(fx)
+	}
+	return true
+}
+
+// park blocks until an enqueue or until the earliest held deadline
+// passes. It reports false once the network is closed. The deadline is
+// published before the clock's target is read, and the clock publishes
+// its target before rescanning deadlines, so either this process kicks
+// the clock or the clock sees the deadline: no wake-up is lost. An
+// enqueue racing with park leaves a token in p.wake.
+func (p *proc) park() bool {
+	d := int64(never)
+	if len(p.held) > 0 {
+		d = p.held[0].deliverAt
+	}
+	p.due.Store(d)
+	if d < p.net.clockAt.Load() {
+		select {
+		case p.net.kick <- struct{}{}:
+		default:
+		}
+	}
+	select {
+	case <-p.net.quit:
+		return false
+	case <-p.wake:
+		return true
 	}
 }
 
@@ -285,91 +389,110 @@ func (p *proc) apply(fx *node.Effects) {
 		pp := p
 		time.AfterFunc(tm.After, func() {
 			select {
-			case <-pp.quit:
+			case <-pp.net.quit:
 			default:
 				pp.post(envelope{in: in})
 			}
 		})
 	}
-	for _, snd := range fx.Sends {
-		for i := 0; i < snd.NumRecipients(); i++ {
-			p.net.route(p.pid, snd.Recipient(i), snd.Msg)
-		}
-	}
-}
-
-// route hands a message to the destination, through its delayer when a
-// latency is configured.
-func (n *Network) route(from, to mcast.ProcessID, m msgs.Message) {
-	n.mu.Lock()
-	q, ok := n.procs[to]
-	n.mu.Unlock()
-	if !ok {
-		return // unknown destination: drop (e.g. client already gone)
-	}
-	var lat time.Duration
-	if n.cfg.Latency != nil && from != to {
-		lat = n.cfg.Latency(from, to)
-	}
-	env := envelope{in: node.Recv{From: from, Msg: m}}
-	if lat <= 0 {
-		q.post(env)
+	if len(fx.Sends) == 0 {
 		return
 	}
-	env.deliverAt = time.Now().Add(lat)
-	select {
-	case q.delayIn <- env:
-	case <-q.quit:
+	now := p.net.now()
+	for _, snd := range fx.Sends {
+		for i := 0; i < snd.NumRecipients(); i++ {
+			p.net.route(p.pid, snd.Recipient(i), snd.Msg, now)
+		}
 	}
 }
 
-// delayLoop holds back delayed envelopes until their deadline, preserving
-// arrival order per deadline (constant per-pair latency makes deadlines
-// monotone per link, so FIFO is preserved).
-func (p *proc) delayLoop() {
-	defer p.net.wg.Done()
-	var pq delayHeap
-	var seq uint64
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+// route enqueues a message sent at network-clock time now at the
+// destination, stamped with its deadline when a latency is configured.
+func (n *Network) route(from, to mcast.ProcessID, m msgs.Message, now int64) {
+	q := n.lookup(to)
+	if q == nil {
+		return // unknown destination: drop (e.g. client already gone)
+	}
+	env := envelope{in: node.Recv{From: from, Msg: m}}
+	if n.cfg.Latency != nil && from != to {
+		if lat := n.cfg.Latency(from, to); lat > 0 {
+			env.deliverAt = now + int64(lat)
+		}
+	}
+	q.post(env)
+}
+
+// clockLoop is the network's one timer for injected delay: it wakes every
+// parked process whose earliest held deadline has passed, then sleeps
+// until the next one. Waits under a millisecond use preciseSleep where
+// the runtime timer would round them up (clock_linux.go).
+func (n *Network) clockLoop() {
+	defer n.wg.Done()
+	t := time.NewTimer(time.Hour)
+	defer t.Stop()
 	for {
-		// Deliver everything due.
-		now := time.Now()
-		for pq.Len() > 0 && !pq[0].deliverAt.After(now) {
-			p.post(pq.popMin())
+		next := n.wakeDue()
+		n.clockAt.Store(next)
+		if n.wakeDue() < next {
+			continue // a deadline published during the first scan
 		}
-		wait := time.Hour
-		if pq.Len() > 0 {
-			wait = time.Until(pq[0].deliverAt)
-			if wait < 0 {
-				wait = 0
-			}
-		}
-		if !timer.Stop() {
+		if next == never {
 			select {
-			case <-timer.C:
+			case <-n.quit:
+				return
+			case <-n.kick:
+			}
+			continue
+		}
+		wait := time.Duration(next - n.now())
+		if wait <= 0 {
+			continue
+		}
+		if preciseSleep(wait) {
+			select {
+			case <-n.quit:
+				return
+			case <-n.kick: // the rescan below covers it
 			default:
 			}
+			continue
 		}
-		timer.Reset(wait)
+		t.Reset(wait)
 		select {
-		case <-p.quit:
+		case <-n.quit:
 			return
-		case env := <-p.delayIn:
-			seq++
-			env.seq = seq
-			pq.push(env)
-		case <-timer.C:
+		case <-n.kick:
+		case <-t.C:
 		}
 	}
 }
 
+// wakeDue nudges every parked process whose deadline has passed and
+// returns the earliest deadline still pending, or never.
+func (n *Network) wakeDue() int64 {
+	now := n.now()
+	next := int64(never)
+	for _, p := range n.procs.Load().all {
+		d := p.due.Load()
+		switch {
+		case d == never:
+		case d <= now:
+			if p.due.CompareAndSwap(d, never) {
+				p.nudge()
+			}
+		case d < next:
+			next = d
+		}
+	}
+	return next
+}
+
+// delayHeap is a binary min-heap of held envelopes by (deliverAt, seq).
 type delayHeap []envelope
 
-func (h delayHeap) Len() int { return len(h) }
 func (h delayHeap) less(i, j int) bool {
-	if !h[i].deliverAt.Equal(h[j].deliverAt) {
-		return h[i].deliverAt.Before(h[j].deliverAt)
+	if h[i].deliverAt != h[j].deliverAt {
+		return h[i].deliverAt < h[j].deliverAt
 	}
 	return h[i].seq < h[j].seq
 }
@@ -392,6 +515,7 @@ func (h *delayHeap) popMin() envelope {
 	min := old[0]
 	last := len(old) - 1
 	old[0] = old[last]
+	old[last] = envelope{} // release the input for the GC
 	*h = old[:last]
 	i := 0
 	for {

@@ -43,9 +43,11 @@ type MPSC[T any] struct {
 	spare    []T // recycled backing array for over
 
 	// pending is the consumer-local overflow batch being drained; it is
-	// always consumed completely before the ring is read again.
+	// consumed completely before any ring ticket at or above cut, the
+	// tail when the batch was taken (see Dequeue).
 	pending []T
 	pendIdx int
+	cut     uint64
 
 	depth atomic.Int64
 	hw    atomic.Int64
@@ -122,26 +124,49 @@ func (q *MPSC[T]) account() {
 // Ordering: items from one producer are dequeued in the order that
 // producer enqueued them. The overflow interplay preserves this because
 // (a) while the overflow is non-empty all producers spill, (b) the
-// consumer switches to the overflow only once the ring is completely
-// drained, and (c) a taken overflow batch is consumed completely before
-// the ring is read again.
+// consumer takes the overflow batch only once the ring looks drained,
+// and records the tail ticket (cut) just before clearing degraded, (c)
+// ring tickets below cut are served before the batch: a producer may
+// claim one after the ring looked drained, and then spill its next item
+// into this batch, and (d) the batch is consumed completely before any
+// ring ticket at or above cut, which is where a producer whose spills
+// are in the batch re-enters the ring.
 func (q *MPSC[T]) Dequeue() (T, bool) {
-	var zero T
-	if q.pendIdx < len(q.pending) {
-		v := q.pending[q.pendIdx]
-		q.pending[q.pendIdx] = zero
-		q.pendIdx++
-		if q.pendIdx == len(q.pending) {
-			q.omu.Lock()
-			if q.spare == nil {
-				q.spare = q.pending[:0]
-			}
-			q.omu.Unlock()
-			q.pending, q.pendIdx = nil, 0
-		}
-		q.depth.Add(-1)
+	if q.head >= q.cut && q.pendIdx < len(q.pending) {
+		return q.popPending(), true
+	}
+	if v, ok := q.popRing(); ok {
 		return v, true
 	}
+	if q.pendIdx < len(q.pending) {
+		return q.popPending(), true
+	}
+	var zero T
+	if !q.degraded.Load() {
+		return zero, false
+	}
+	// Ring drained and spills exist: take the whole batch. Clearing
+	// degraded here (not after the batch is consumed) is safe because
+	// of cut, see (c) and (d) above.
+	q.omu.Lock()
+	q.cut = q.tail.Load()
+	batch := q.over
+	q.over = q.spare[:0]
+	q.spare = nil
+	q.degraded.Store(false)
+	q.omu.Unlock()
+	if len(batch) == 0 {
+		return zero, false
+	}
+	q.pending, q.pendIdx = batch, 0
+	return q.Dequeue()
+}
+
+// popRing removes the item at head, waiting out a producer that has
+// claimed the ticket but not yet published it, or reports false when the
+// ring is empty.
+func (q *MPSC[T]) popRing() (T, bool) {
+	var zero T
 	for {
 		h := q.head
 		s := &q.slots[h&q.mask]
@@ -156,42 +181,32 @@ func (q *MPSC[T]) Dequeue() (T, bool) {
 		// Slot h is unpublished. If ticket h is also unclaimed the ring
 		// is empty; otherwise a producer is mid-publish — wait it out
 		// (the window is a few instructions wide). Declaring "empty"
-		// here instead would let the overflow batch below overtake that
+		// here instead would let the overflow batch overtake that
 		// producer's in-flight ring item, breaking its FIFO order.
 		if q.tail.Load() == h {
-			break
+			return zero, false
 		}
 		runtime.Gosched()
 	}
-	if !q.degraded.Load() {
-		return zero, false
-	}
-	// Ring fully drained and spills exist: take the whole batch.
-	// Clearing degraded here (not after the batch is consumed) is safe
-	// because pending is drained before the ring is read again, so a
-	// producer that re-enters the ring cannot overtake its own spills.
-	q.omu.Lock()
-	batch := q.over
-	q.over = q.spare[:0]
-	q.spare = nil
-	q.degraded.Store(false)
-	q.omu.Unlock()
-	if len(batch) == 0 {
-		return zero, false
-	}
-	q.pending, q.pendIdx = batch, 1
-	v := batch[0]
-	batch[0] = zero
-	if len(batch) == 1 {
-		q.pending, q.pendIdx = nil, 0
+}
+
+// popPending removes the next item of the pending overflow batch and
+// recycles the batch's array once it is consumed.
+func (q *MPSC[T]) popPending() T {
+	var zero T
+	v := q.pending[q.pendIdx]
+	q.pending[q.pendIdx] = zero
+	q.pendIdx++
+	if q.pendIdx == len(q.pending) {
 		q.omu.Lock()
 		if q.spare == nil {
-			q.spare = batch[:0]
+			q.spare = q.pending[:0]
 		}
 		q.omu.Unlock()
+		q.pending, q.pendIdx = nil, 0
 	}
 	q.depth.Add(-1)
-	return v, true
+	return v
 }
 
 // Depth returns the current number of queued items (ring + overflow).

@@ -257,6 +257,17 @@ func (s *Sim) Now() time.Duration { return s.now }
 // with periodic timers (heartbeats, GC) never quiesce.
 func (s *Sim) Pending() int { return s.pq.Len() }
 
+// Step processes the events at the earliest pending time, including any
+// they schedule for that same time, and leaves the clock there. Unlike
+// Run, it never advances the clock past the last event, so a driver that
+// steps to quiescence ends at a time that depends only on the events.
+func (s *Sim) Step() int {
+	if s.pq.Len() == 0 {
+		return 0
+	}
+	return s.Run(s.pq[0].at)
+}
+
 // SubmitAt schedules a Submit input for the client handler at time at,
 // recording the message for the latency and genuineness audits.
 func (s *Sim) SubmitAt(at time.Duration, client mcast.ProcessID, m mcast.AppMsg) {

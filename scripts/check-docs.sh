@@ -9,6 +9,8 @@
 #     metric name declared in internal/obs/names.go appears there, and no
 #     non-test Go file mints a wbcast_* metric literal that is not a
 #     declared name.
+#  5. Every .md file named in a Go comment exists, relative to the
+#     repository root, to the Go file's directory, or to docs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 fail=0
@@ -74,6 +76,20 @@ while IFS=: read -r file line lit; do
   fi
 done < <(grep -rn --include='*.go' -oE '"(wbcast|genmcast)_[a-z_]+"' . \
   | grep -v '_test\.go:' | grep -v '^\./internal/obs/names\.go:')
+
+# --- 5. markdown files named in Go comments exist --------------------------
+while IFS=: read -r file line ref; do
+  dir=$(dirname "$file")
+  if [ ! -e "$ref" ] && [ ! -e "$dir/$ref" ] && [ ! -e "docs/$ref" ]; then
+    echo "$file:$line: comment names $ref, which does not exist"
+    fail=1
+  fi
+done < <(grep -rn --include='*.go' -E '//.*\.md\b' . \
+  | sed -E 's#^\./##' \
+  | while IFS=: read -r file line text; do
+      printf '%s\n' "${text#*//}" | grep -oE '[A-Za-z0-9_./-]+\.md\b' \
+        | sed "s#^#$file:$line:#"
+    done)
 
 if [ "$fail" -ne 0 ]; then
   echo "check-docs: FAILED"

@@ -413,9 +413,11 @@ func (t *simTransport) pumpChaos() {
 	}
 }
 
-// pump drives the simulator to quiescence after every external input.
-// Virtual time advances in bounded slices so an armed flush timer (e.g. a
-// batching deadline) is reached however far ahead it was scheduled.
+// pump drives the simulator to quiescence after every external input,
+// one event time at a time, so an armed flush timer (e.g. a batching
+// deadline) is reached however far ahead it was scheduled. Virtual time
+// stops at the last event: how many passes the pump made while the
+// cluster was being built does not shift the timeline of a seeded run.
 func (t *simTransport) pump() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -430,7 +432,7 @@ func (t *simTransport) pump() {
 		}
 		t.pending = false
 		for t.s.Pending() > 0 && !t.closed {
-			t.s.Run(t.s.Now() + time.Second)
+			t.s.Step()
 		}
 	}
 }
