@@ -19,19 +19,18 @@ import (
 	"testing"
 
 	"wbcast/internal/bench"
-	"wbcast/internal/harness"
 	"wbcast/internal/live"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocol"
 )
 
 // BenchmarkFig2ConvoyEffectSkeen measures Skeen's worst-case (failure-free)
 // latency under the adversarial schedule of paper Fig. 2. Expect ≈ 4δ
 // (double the 2δ collision-free latency).
 func BenchmarkFig2ConvoyEffectSkeen(b *testing.B) {
-	p, _ := bench.ProtocolByName("skeen")
 	var last float64
 	for i := 0; i < b.N; i++ {
-		ff, err := bench.FailureFree(p, 1, 16)
+		ff, err := bench.FailureFree(protocol.Skeen, 1, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,10 +43,9 @@ func BenchmarkFig2ConvoyEffectSkeen(b *testing.B) {
 // collision-free delivery latency (paper Fig. 5 / Theorem 3). Expect
 // exactly 3δ at the destination leaders.
 func BenchmarkFig5CollisionFreeWbCast(b *testing.B) {
-	p, _ := bench.ProtocolByName("wbcast")
 	var last float64
 	for i := 0; i < b.N; i++ {
-		cf, _, err := bench.CollisionFree(p, 3)
+		cf, _, err := bench.CollisionFree(protocol.WhiteBox, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,17 +58,15 @@ func BenchmarkFig5CollisionFreeWbCast(b *testing.B) {
 // (experiment E3: the paper's 2δ/4δ, 6δ/12δ, 4δ/8δ, 3δ/5δ comparison).
 func BenchmarkLatencyTable(b *testing.B) {
 	for _, tc := range []struct {
-		name      string
+		p         protocol.Kind
 		groupSize int
 	}{
-		{"skeen", 1}, {"ftskeen", 3}, {"fastcast", 3}, {"wbcast", 3},
+		{protocol.Skeen, 1}, {protocol.FTSkeen, 3}, {protocol.FastCast, 3}, {protocol.WhiteBox, 3},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
-			p, err := bench.ProtocolByName(tc.name)
-			if err != nil {
-				b.Fatal(err)
-			}
+		b.Run(tc.p.String(), func(b *testing.B) {
+			p := tc.p
 			var cf, ff float64
+			var err error
 			for i := 0; i < b.N; i++ {
 				cf, _, err = bench.CollisionFree(p, tc.groupSize)
 				if err != nil {
@@ -88,12 +84,8 @@ func BenchmarkLatencyTable(b *testing.B) {
 }
 
 // throughputBench pumps b.N closed-loop multicasts through a live cluster.
-func throughputBench(b *testing.B, proto string, groups, clients, dest int, lat live.LatencyFunc) {
+func throughputBench(b *testing.B, p protocol.Kind, groups, clients, dest int, lat live.LatencyFunc) {
 	b.Helper()
-	p, err := bench.ProtocolByName(proto)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	elapsed, stats, err := bench.RunN(p, bench.ThroughputConfig{
 		Groups: groups, GroupSize: 3,
@@ -115,7 +107,7 @@ func throughputBench(b *testing.B, proto string, groups, clients, dest int, lat 
 // groups. Compare msg/s and latency across the three protocol sub-benches.
 func BenchmarkFig7LAN(b *testing.B) {
 	for _, dest := range []int{1, 2, 4} {
-		for _, proto := range []string{"wbcast", "fastcast", "ftskeen"} {
+		for _, proto := range []protocol.Kind{protocol.WhiteBox, protocol.FastCast, protocol.FTSkeen} {
 			b.Run(fmt.Sprintf("%s/dest=%d", proto, dest), func(b *testing.B) {
 				throughputBench(b, proto, 10, 32, dest, live.LAN())
 			})
@@ -130,7 +122,7 @@ func BenchmarkFig8WAN(b *testing.B) {
 	top := mcast.UniformTopology(10, 3)
 	wan := live.WAN(live.PaperWANAssign(top))
 	for _, dest := range []int{2} {
-		for _, proto := range []string{"wbcast", "fastcast", "ftskeen"} {
+		for _, proto := range []protocol.Kind{protocol.WhiteBox, protocol.FastCast, protocol.FTSkeen} {
 			b.Run(fmt.Sprintf("%s/dest=%d", proto, dest), func(b *testing.B) {
 				throughputBench(b, proto, 10, 64, dest, wan)
 			})
@@ -144,9 +136,7 @@ func BenchmarkFig8WAN(b *testing.B) {
 func BenchmarkGenuinenessScaling(b *testing.B) {
 	for _, groups := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("groups=%d", groups), func(b *testing.B) {
-			throughputBench(b, "wbcast", groups, 4*groups, 2, live.LAN())
+			throughputBench(b, protocol.WhiteBox, groups, 4*groups, 2, live.LAN())
 		})
 	}
 }
-
-var _ harness.Protocol = nil // keep the harness import for documentation links

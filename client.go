@@ -10,6 +10,7 @@ import (
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/protocol"
 )
 
 // Client multicasts application messages to the groups of a deployment.
@@ -74,10 +75,8 @@ func newClientOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Client, error
 		retry = 0
 	}
 	cl.h = batch.NewHandler(client.Config{
-		PID: pid,
-		Contacts: func(g GroupID) []ProcessID {
-			return []ProcessID{top.InitialLeader(g)}
-		},
+		PID:           pid,
+		Contacts:      protocol.Contacts(top),
 		RetryContacts: func(g GroupID) []ProcessID { return top.Members(g) },
 		Retry:         retry,
 		OnComplete:    cl.complete,

@@ -26,16 +26,15 @@ import (
 	"os"
 	"time"
 
+	"wbcast/internal/batch"
 	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
 	"wbcast/internal/faults"
-	"wbcast/internal/ftskeen"
-	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -94,11 +93,11 @@ func main() {
 
 func failover() error {
 	fmt.Println("scenario: leader crash with heartbeat-driven failover (δ = 10ms)")
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
-	}
+	proto := protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{
+		Retry:     30 * delta,
+		Heartbeat: 5 * delta,
+		Suspect:   20 * delta,
+	}}
 	c, err := harness.NewCluster(proto, traced(harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 30 * delta,
@@ -143,7 +142,7 @@ func clockDecrease() error {
 		}
 		return delta
 	}
-	c, err := harness.NewCluster(core.Protocol{RetryInterval: 20 * delta}, traced(harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 20 * delta}}, traced(harness.Options{
 		Groups: 1, GroupSize: 3, NumClients: 1, Latency: lat, Retry: 20 * delta,
 	}))
 	if err != nil {
@@ -181,7 +180,7 @@ func convoy() error {
 		}
 		return delta
 	}
-	c, err := harness.NewCluster(core.Protocol{}, traced(harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.WhiteBox}, traced(harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2, Latency: lat,
 	}))
 	if err != nil {
@@ -211,24 +210,18 @@ func convoy() error {
 // storage), a lossy/reordering link and a skewed
 // clock run throughout, and every delivery passes the continuous invariant
 // monitor. The same seed replays the identical schedule.
-func chaos(protocol string, seed int64, n int) error {
-	var proto harness.Protocol
-	cfg := struct{ retry, hb, suspect time.Duration }{20 * delta, 10 * delta, 40 * delta}
-	switch protocol {
-	case "wbcast":
-		proto = core.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, GCInterval: 50 * delta}
-	case "fastcast":
-		proto = fastcast.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect}
-	case "ftskeen":
-		proto = ftskeen.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect}
-	case "genmcast":
+func chaos(name string, seed int64, n int) error {
+	kind, err := protocol.Parse(name)
+	if err != nil {
+		return err
+	}
+	proto := protocol.Config{Kind: kind, Timing: protocol.DefaultTiming(delta)}
+	if kind == protocol.Genmcast {
 		// Conflict-aware delivery under a 4-class payload relation; the
 		// harness swaps in the partial-order monitor automatically.
-		proto = genmcast.Protocol{RetryInterval: cfg.retry, HeartbeatInterval: cfg.hb, SuspectTimeout: cfg.suspect, Relation: genmcast.PayloadClasses(4)}
-	default:
-		return fmt.Errorf("unknown protocol %q (want wbcast, fastcast, ftskeen or genmcast)", protocol)
+		proto.Conflicts = mcast.NewConflictHolder(batch.Conflicts(harness.PayloadClasses(4)))
 	}
-	fmt.Printf("scenario: chaos, protocol=%s seed=%d msgs=%d (δ = 10ms, 2 groups × 3 replicas)\n", protocol, seed, n)
+	fmt.Printf("scenario: chaos, protocol=%s seed=%d msgs=%d (δ = 10ms, 2 groups × 3 replicas)\n", name, seed, n)
 
 	rng := rand.New(rand.NewSource(seed))
 	plan := &faults.Plan{}
@@ -269,9 +262,9 @@ func chaos(protocol string, seed int64, n int) error {
 		for _, e := range errs {
 			fmt.Println("         VIOLATION:", e)
 		}
-		return fmt.Errorf("%d invariant violation(s); replay with -chaos -protocol %s -seed %d", len(errs), protocol, seed)
+		return fmt.Errorf("%d invariant violation(s); replay with -chaos -protocol %s -seed %d", len(errs), name, seed)
 	}
-	if protocol == "genmcast" {
+	if kind == protocol.Genmcast {
 		fmt.Println("         invariants: PASS (partial order over conflicts, exactly-once, genuineness, termination)")
 	} else {
 		fmt.Println("         invariants: PASS (total order, gap-freedom, exactly-once, genuineness, termination)")

@@ -10,10 +10,8 @@
 // Partway through, the leader of group 0 is crashed; its group recovers via
 // the protocol's two-stage leader change and the workload continues.
 //
-// This example consumes deliveries through the push-style Config.OnDeliver
-// adapter (a per-replica goroutine over a lossless subscription); see
-// examples/kvstore and examples/sharedlog for the pull-based
-// Replica.Deliveries form.
+// Each replica's ledger is fed by a goroutine draining that replica's
+// lossless delivery subscription (Replica.Deliveries).
 //
 // Run with:
 //
@@ -58,53 +56,47 @@ type ledger struct {
 }
 
 func main() {
-	ledgers := make(map[wbcast.ProcessID]*ledger)
-	var lmu sync.Mutex
-	getLedger := func(p wbcast.ProcessID, g wbcast.GroupID) *ledger {
-		lmu.Lock()
-		defer lmu.Unlock()
-		l, ok := ledgers[p]
-		if !ok {
-			l = &ledger{balances: make(map[int]int)}
-			for a := 0; a < numGroups*accountsPerGrp; a++ {
-				if groupOf(a) == g {
-					l.balances[a] = initialBalance
-				}
-			}
-			ledgers[p] = l
-		}
-		return l
-	}
-
-	var cluster *wbcast.Cluster
 	cluster, err := wbcast.New(wbcast.Config{
 		Groups:   numGroups,
 		Replicas: 3,
 		Delta:    time.Millisecond,
-		OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-			var t transfer
-			if err := json.Unmarshal(d.Msg.Payload, &t); err != nil {
-				log.Fatalf("replica %d: %v", p, err)
-			}
-			// Each replica applies only the side(s) of the transfer its
-			// group owns.
-			g := groupOfReplica(cluster, p)
-			l := getLedger(p, g)
-			l.mu.Lock()
-			if groupOf(t.From) == g {
-				l.balances[t.From] -= t.Amount
-			}
-			if groupOf(t.To) == g {
-				l.balances[t.To] += t.Amount
-			}
-			l.applied++
-			l.mu.Unlock()
-		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cluster.Close()
+
+	ledgers := make(map[wbcast.ProcessID]*ledger)
+	for _, r := range cluster.Replicas() {
+		g := r.Group()
+		l := &ledger{balances: make(map[int]int)}
+		for a := 0; a < numGroups*accountsPerGrp; a++ {
+			if groupOf(a) == g {
+				l.balances[a] = initialBalance
+			}
+		}
+		ledgers[r.ID()] = l
+		sub := r.Deliveries()
+		go func(p wbcast.ProcessID) {
+			for d := range sub.C() {
+				var t transfer
+				if err := json.Unmarshal(d.Msg.Payload, &t); err != nil {
+					log.Fatalf("replica %d: %v", p, err)
+				}
+				// Each replica applies only the side(s) of the transfer
+				// its group owns.
+				l.mu.Lock()
+				if groupOf(t.From) == g {
+					l.balances[t.From] -= t.Amount
+				}
+				if groupOf(t.To) == g {
+					l.balances[t.To] += t.Amount
+				}
+				l.applied++
+				l.mu.Unlock()
+			}
+		}(r.ID())
+	}
 
 	client, err := cluster.NewClient()
 	if err != nil {
@@ -140,20 +132,14 @@ func main() {
 	// per group, skipping the crashed one) equals the initial total.
 	want := numGroups * accountsPerGrp * initialBalance
 	total := 0
-	lmu.Lock()
 	for g := wbcast.GroupID(0); g < numGroups; g++ {
 		var chosen *ledger
 		for _, p := range cluster.GroupMembers(g) {
 			if g == 0 && p == cluster.InitialLeader(0) {
 				continue // crashed
 			}
-			if l, ok := ledgers[p]; ok {
-				chosen = l
-				break
-			}
-		}
-		if chosen == nil {
-			log.Fatalf("no surviving replica with state in group %d", g)
+			chosen = ledgers[p]
+			break
 		}
 		chosen.mu.Lock()
 		for _, b := range chosen.balances {
@@ -161,22 +147,9 @@ func main() {
 		}
 		chosen.mu.Unlock()
 	}
-	lmu.Unlock()
 	fmt.Printf("conservation audit: total = %d, expected = %d\n", total, want)
 	if total != want {
 		log.Fatal("MONEY WAS CREATED OR DESTROYED — ordering violation")
 	}
 	fmt.Println("audit passed: balances conserved across partitions and a leader crash")
-}
-
-// groupOfReplica maps a replica to its group using the uniform layout.
-func groupOfReplica(c *wbcast.Cluster, p wbcast.ProcessID) wbcast.GroupID {
-	for g := wbcast.GroupID(0); int(g) < c.NumGroups(); g++ {
-		for _, m := range c.GroupMembers(g) {
-			if m == p {
-				return g
-			}
-		}
-	}
-	return -1
 }

@@ -8,18 +8,16 @@ import (
 	"time"
 
 	"wbcast/internal/batch"
-	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
 // protocols under test: the three fault-tolerant implementations, all of
 // which unpack batch envelopes on their delivery paths.
-func protocolsUnderTest() []harness.Protocol {
-	return []harness.Protocol{core.Protocol{}, fastcast.Protocol{}, ftskeen.Protocol{}}
+func protocolsUnderTest() []protocol.Config {
+	return []protocol.Config{{Kind: protocol.WhiteBox}, {Kind: protocol.FastCast}, {Kind: protocol.FTSkeen}}
 }
 
 // deliverySeq returns, per process, the payload IDs it delivered in order.
@@ -33,7 +31,7 @@ func deliverySeq(c *harness.Cluster) map[mcast.ProcessID][]mcast.MsgID {
 
 // runSequentialWorkload submits n payloads from one client to groups
 // {0, 1} at 1ms intervals and runs to quiescence.
-func runSequentialWorkload(t *testing.T, p harness.Protocol, batching *batch.Options, n int) *harness.Cluster {
+func runSequentialWorkload(t *testing.T, p protocol.Config, batching *batch.Options, n int) *harness.Cluster {
 	t.Helper()
 	c, err := harness.NewCluster(p, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
@@ -58,7 +56,7 @@ func runSequentialWorkload(t *testing.T, p harness.Protocol, batching *batch.Opt
 func TestBatchedOrderMatchesUnbatched(t *testing.T) {
 	const n = 60
 	for _, p := range protocolsUnderTest() {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.Kind.String(), func(t *testing.T) {
 			plain := runSequentialWorkload(t, p, nil, n)
 			batched := runSequentialWorkload(t, p, &batch.Options{
 				MaxMsgs: 8, MaxDelay: 5 * time.Millisecond, Window: 2,
@@ -100,7 +98,7 @@ func TestBatchedOrderMatchesUnbatched(t *testing.T) {
 // and the genuineness audit.
 func TestBatchedRandomWorkload(t *testing.T) {
 	for _, p := range protocolsUnderTest() {
-		t.Run(p.Name(), func(t *testing.T) {
+		t.Run(p.Kind.String(), func(t *testing.T) {
 			c, err := harness.NewCluster(p, harness.Options{
 				Groups: 3, GroupSize: 3, NumClients: 4,
 				Latency: sim.Uniform(5 * time.Millisecond),
@@ -128,7 +126,7 @@ func TestBatchedRandomWorkload(t *testing.T) {
 // TestBatchedCompletionSemantics verifies the client-facing contract under
 // batching: every submitted payload's completion fires exactly once.
 func TestBatchedCompletionSemantics(t *testing.T) {
-	c, err := harness.NewCluster(core.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.WhiteBox}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency:  sim.Uniform(5 * time.Millisecond),
 		Batching: &batch.Options{MaxMsgs: 4, MaxDelay: 2 * time.Millisecond},

@@ -7,6 +7,7 @@ import (
 	"wbcast/internal/batch"
 	"wbcast/internal/bench"
 	"wbcast/internal/live"
+	"wbcast/internal/protocol"
 )
 
 func TestSummarise(t *testing.T) {
@@ -26,18 +27,6 @@ func TestSummarise(t *testing.T) {
 	}
 	if s.Mean != 50500*time.Microsecond {
 		t.Errorf("Mean = %v", s.Mean)
-	}
-}
-
-func TestProtocolByName(t *testing.T) {
-	for _, name := range []string{"wbcast", "fastcast", "ftskeen", "skeen"} {
-		p, err := bench.ProtocolByName(name)
-		if err != nil || p.Name() != name {
-			t.Errorf("ProtocolByName(%q) = %v, %v", name, p, err)
-		}
-	}
-	if _, err := bench.ProtocolByName("nope"); err == nil {
-		t.Error("unknown protocol accepted")
 	}
 }
 
@@ -85,7 +74,7 @@ func TestThroughputSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark")
 	}
-	for _, p := range bench.AllProtocols() {
+	for _, p := range []protocol.Kind{protocol.WhiteBox, protocol.FastCast, protocol.FTSkeen} {
 		res, err := bench.Throughput(p, bench.ThroughputConfig{
 			Groups: 3, GroupSize: 3, Clients: 8, DestGroups: 2,
 			Latency: live.LAN(),
@@ -93,15 +82,15 @@ func TestThroughputSmoke(t *testing.T) {
 			Measure: 400 * time.Millisecond,
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", p, err)
 		}
 		if res.Throughput <= 0 {
-			t.Errorf("%s: throughput = %v", p.Name(), res.Throughput)
+			t.Errorf("%s: throughput = %v", p, res.Throughput)
 		}
 		if res.Latency.Mean <= 0 {
-			t.Errorf("%s: mean latency = %v", p.Name(), res.Latency.Mean)
+			t.Errorf("%s: mean latency = %v", p, res.Latency.Mean)
 		}
-		t.Logf("%s: %.0f msg/s, mean %v, p99 %v", p.Name(), res.Throughput, res.Latency.Mean, res.Latency.P99)
+		t.Logf("%s: %.0f msg/s, mean %v, p99 %v", p, res.Throughput, res.Latency.Mean, res.Latency.P99)
 	}
 }
 
@@ -114,10 +103,7 @@ func TestBatchingThroughputGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark")
 	}
-	p, err := bench.ProtocolByName("wbcast")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := protocol.WhiteBox
 	base := bench.ThroughputConfig{
 		Groups: 2, GroupSize: 3, Clients: 4, DestGroups: 2,
 		Outstanding: 256,
@@ -157,8 +143,7 @@ func TestThroughputOutstanding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live benchmark")
 	}
-	p, _ := bench.ProtocolByName("wbcast")
-	res, err := bench.Throughput(p, bench.ThroughputConfig{
+	res, err := bench.Throughput(protocol.WhiteBox, bench.ThroughputConfig{
 		Groups: 2, GroupSize: 3, Clients: 2, DestGroups: 1,
 		Outstanding: 8,
 		Latency:     live.LAN(),

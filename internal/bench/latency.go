@@ -8,6 +8,7 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -30,8 +31,8 @@ const latDelta = 10 * time.Millisecond
 // multicast to two groups (of the given size), in multiples of δ: at the
 // destination leaders (the paper's client-perceived metric) and at the
 // slowest destination process.
-func CollisionFree(p harness.Protocol, groupSize int) (leader, slowest float64, err error) {
-	c, err := harness.NewCluster(p, harness.Options{
+func CollisionFree(k protocol.Kind, groupSize int) (leader, slowest float64, err error) {
+	c, err := harness.NewCluster(protocol.Config{Kind: k}, harness.Options{
 		Groups: 2, GroupSize: groupSize, NumClients: 1,
 		Latency: sim.Uniform(latDelta),
 	})
@@ -63,7 +64,7 @@ func CollisionFree(p harness.Protocol, groupSize int) (leader, slowest float64, 
 // is delivered to m's group-0 leader with ~zero delay while taking the full
 // δ to the other group, maximising the time m stays blocked. It returns the
 // worst observed latency of m in multiples of δ.
-func FailureFree(p harness.Protocol, groupSize int, probes int) (float64, error) {
+func FailureFree(k protocol.Kind, groupSize int, probes int) (float64, error) {
 	if probes <= 0 {
 		probes = 40
 	}
@@ -74,7 +75,7 @@ func FailureFree(p harness.Protocol, groupSize int, probes int) (float64, error)
 	// in flight (up to 8δ covers every protocol here).
 	for i := 0; i < probes; i++ {
 		offset := time.Duration(i) * 8 * latDelta / time.Duration(probes)
-		lat, err := convoyProbe(p, groupSize, T0, T0+offset)
+		lat, err := convoyProbe(k, groupSize, T0, T0+offset)
 		if err != nil {
 			return 0, err
 		}
@@ -88,7 +89,7 @@ func FailureFree(p harness.Protocol, groupSize int, probes int) (float64, error)
 // convoyProbe runs one adversarial schedule: warm-up messages raise group
 // 1's clock, m goes to both groups at tM, and m' is injected at tPrime with
 // near-zero delay to group 0's leader and full δ to group 1's.
-func convoyProbe(p harness.Protocol, groupSize int, tM, tPrime time.Duration) (time.Duration, error) {
+func convoyProbe(k protocol.Kind, groupSize int, tM, tPrime time.Duration) (time.Duration, error) {
 	var mPrime mcast.MsgID
 	leader0 := mcast.ProcessID(0)
 	lat := func(from, to mcast.ProcessID, m msgs.Message, _ time.Duration, _ *rand.Rand) time.Duration {
@@ -97,7 +98,7 @@ func convoyProbe(p harness.Protocol, groupSize int, tM, tPrime time.Duration) (t
 		}
 		return latDelta
 	}
-	c, err := harness.NewCluster(p, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: k}, harness.Options{
 		Groups: 2, GroupSize: groupSize, NumClients: 2, Latency: lat,
 	})
 	if err != nil {
@@ -129,28 +130,28 @@ func inDelta(d time.Duration) float64 {
 // three.
 func LatencyTable(probes int) ([]LatencyRow, error) {
 	rows := []struct {
-		proto     harness.Protocol
+		proto     protocol.Kind
 		groupSize int
 		paperCF   float64
 		paperFF   float64
 	}{
-		{protoSkeen, 1, 2, 4},
-		{protoFTSkeen, 3, 6, 12},
-		{protoFastCast, 3, 4, 8},
-		{protoWbCast, 3, 3, 5},
+		{protocol.Skeen, 1, 2, 4},
+		{protocol.FTSkeen, 3, 6, 12},
+		{protocol.FastCast, 3, 4, 8},
+		{protocol.WhiteBox, 3, 3, 5},
 	}
 	var out []LatencyRow
 	for _, r := range rows {
 		leader, slowest, err := CollisionFree(r.proto, r.groupSize)
 		if err != nil {
-			return nil, fmt.Errorf("%s: collision-free: %w", r.proto.Name(), err)
+			return nil, fmt.Errorf("%s: collision-free: %w", r.proto.String(), err)
 		}
 		ff, err := FailureFree(r.proto, r.groupSize, probes)
 		if err != nil {
-			return nil, fmt.Errorf("%s: failure-free: %w", r.proto.Name(), err)
+			return nil, fmt.Errorf("%s: failure-free: %w", r.proto.String(), err)
 		}
 		out = append(out, LatencyRow{
-			Protocol:      r.proto.Name(),
+			Protocol:      r.proto.String(),
 			CollisionFree: leader,
 			FailureFree:   ff,
 			FollowerCF:    slowest,

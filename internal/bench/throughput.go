@@ -12,6 +12,7 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/live"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocol"
 )
 
 // atomicInt64 wraps atomic.Int64 for use as a work counter.
@@ -80,7 +81,7 @@ type clientProbe struct {
 // group) frees a window slot — the evaluation methodology of the paper
 // (§VI, following Coelho et al.), generalised with client pipelining and
 // optional batching.
-func Throughput(p harness.Protocol, cfg ThroughputConfig) (ThroughputResult, error) {
+func Throughput(k protocol.Kind, cfg ThroughputConfig) (ThroughputResult, error) {
 	if cfg.Groups <= 0 || cfg.GroupSize <= 0 || cfg.Clients <= 0 {
 		return ThroughputResult{}, fmt.Errorf("bench: invalid topology/client config")
 	}
@@ -102,7 +103,7 @@ func Throughput(p harness.Protocol, cfg ThroughputConfig) (ThroughputResult, err
 	top := mcast.UniformTopology(cfg.Groups, cfg.GroupSize)
 	net := live.New(live.Config{Latency: cfg.Latency})
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		h, err := p.NewReplica(pid, top)
+		h, err := protocol.New(protocol.Config{Kind: k, PID: pid, Top: top})
 		if err != nil {
 			return ThroughputResult{}, err
 		}
@@ -110,7 +111,7 @@ func Throughput(p harness.Protocol, cfg ThroughputConfig) (ThroughputResult, err
 			return ThroughputResult{}, err
 		}
 	}
-	contacts := p.Contacts(top)
+	contacts := protocol.Contacts(top)
 	blanket := func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) }
 
 	// measureFrom/deadline are written before the first Submit and only
@@ -220,7 +221,7 @@ func Throughput(p harness.Protocol, cfg ThroughputConfig) (ThroughputResult, err
 	}
 	res := ThroughputResult{
 		Config:     cfg,
-		Protocol:   p.Name(),
+		Protocol:   k.String(),
 		Throughput: float64(completed) / cfg.Measure.Seconds(),
 		Latency:    Summarise(all),
 	}
@@ -235,7 +236,7 @@ func Throughput(p harness.Protocol, cfg ThroughputConfig) (ThroughputResult, err
 // RunN drives exactly n closed-loop multicasts through a live cluster and
 // returns the wall-clock duration and latency statistics. testing.B
 // benchmarks use it to pump b.N messages.
-func RunN(p harness.Protocol, cfg ThroughputConfig, n int) (time.Duration, LatencyStats, error) {
+func RunN(k protocol.Kind, cfg ThroughputConfig, n int) (time.Duration, LatencyStats, error) {
 	if cfg.Groups <= 0 || cfg.GroupSize <= 0 || cfg.Clients <= 0 {
 		return 0, LatencyStats{}, fmt.Errorf("bench: invalid topology/client config")
 	}
@@ -248,7 +249,7 @@ func RunN(p harness.Protocol, cfg ThroughputConfig, n int) (time.Duration, Laten
 	top := mcast.UniformTopology(cfg.Groups, cfg.GroupSize)
 	net := live.New(live.Config{Latency: cfg.Latency})
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		h, err := p.NewReplica(pid, top)
+		h, err := protocol.New(protocol.Config{Kind: k, PID: pid, Top: top})
 		if err != nil {
 			return 0, LatencyStats{}, err
 		}
@@ -256,7 +257,7 @@ func RunN(p harness.Protocol, cfg ThroughputConfig, n int) (time.Duration, Laten
 			return 0, LatencyStats{}, err
 		}
 	}
-	contacts := p.Contacts(top)
+	contacts := protocol.Contacts(top)
 	doneCh := make([]chan struct{}, cfg.Clients)
 	for i := 0; i < cfg.Clients; i++ {
 		doneCh[i] = make(chan struct{}, 1)

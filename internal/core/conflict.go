@@ -222,7 +222,7 @@ func (r *Replica) onDeliverConflict(d msgs.Deliver, fx *node.Effects) {
 	// Durable order: the committed record, the applied-set entry and the
 	// frontier all precede the application-visible delivery.
 	r.persistRecord(st, fx)
-	if r.cfg.Durable {
+	if r.cfg.durable() {
 		fx.Persist(wal.Entry{Kind: wal.EntryDelivered, IDs: []mcast.MsgID{d.ID}})
 		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: r.maxDeliveredGTS, Last: r.maxDeliveredGTS})
 	}

@@ -40,7 +40,7 @@ func (s Status) String() string {
 // Config parametrises a Replica. The zero value of the timing fields
 // disables the corresponding background behaviour, which is what
 // deterministic unit tests want; production configurations should set all
-// of them (see DefaultConfig).
+// of them (see protocol.DefaultTiming).
 type Config struct {
 	// PID is this replica's process ID; it must belong to a group of Top.
 	PID mcast.ProcessID
@@ -69,16 +69,15 @@ type Config struct {
 	// observability clock, so the handler itself still never reads real
 	// time (node.Handler contract).
 	Obs *obs.Proto
-	// Durable, when true, emits a persist effect for every crash-surviving
-	// state transition — ballot votes, ACCEPTED/COMMITTED records, the
-	// delivery frontier, state installs and prunes — each ordered before
-	// the message or delivery it backs (the hosting runtime syncs persist
-	// effects first). When false, no persist effects are emitted and a
-	// restart loses all protocol state.
-	Durable bool
-	// Recovered, if non-empty, seeds the replica from the durable state a
-	// Storage replayed: promise pair, clock, message records and delivery
-	// frontier. The replica always restarts as a follower — leadership is
+	// Recovered, when non-nil, makes the replica durable: it emits a
+	// persist effect for every crash-surviving state transition — ballot
+	// votes, ACCEPTED/COMMITTED records, the delivery frontier, state
+	// installs and prunes — each ordered before the message or delivery it
+	// backs (the hosting runtime syncs persist effects first). Without it
+	// no persist effects are emitted and a restart loses all protocol
+	// state. A non-empty Recovered also seeds the replica from the durable
+	// state a Storage replayed: promise pair, clock, message records and
+	// delivery frontier. The replica always restarts as a follower — leadership is
 	// re-established by recovery, never resumed — and relies on the
 	// existing catch-up paths (heartbeat-ack replay, state transfer) for
 	// whatever the log missed.
@@ -103,18 +102,8 @@ type Config struct {
 	Conflicts *mcast.ConflictHolder
 }
 
-// DefaultConfig returns a production-style configuration for the given
-// replica, with timing derived from the expected network delay delta.
-func DefaultConfig(pid mcast.ProcessID, top *mcast.Topology, delta time.Duration) Config {
-	return Config{
-		PID:               pid,
-		Top:               top,
-		RetryInterval:     20 * delta,
-		HeartbeatInterval: 10 * delta,
-		SuspectTimeout:    40 * delta,
-		GCInterval:        50 * delta,
-	}
-}
+// durable reports whether the replica emits persist effects.
+func (c *Config) durable() bool { return c.Recovered != nil }
 
 // mstate is the per-message state: the Phase/LocalTS/GlobalTS/Delivered
 // entries of Fig. 3 plus the bookkeeping for collecting ACCEPTs and
@@ -676,7 +665,7 @@ func (r *Replica) onDeliver(d msgs.Deliver, fx *node.Effects) {
 	// application sees the delivery: a restart replays the frontier and
 	// never hands the message out twice.
 	r.persistRecord(st, fx)
-	if r.cfg.Durable {
+	if r.cfg.durable() {
 		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
 	}
 	r.queue.Remove(d.ID)
@@ -728,7 +717,7 @@ func (r *Replica) noteLeader(g mcast.GroupID, b mcast.Ballot) {
 // persistRecord logs st's current record; called before the ACCEPT_ACK or
 // delivery the record backs leaves the process.
 func (r *Replica) persistRecord(st *mstate, fx *node.Effects) {
-	if !r.cfg.Durable || !st.hasApp {
+	if !r.cfg.durable() || !st.hasApp {
 		return
 	}
 	fx.Persist(wal.Entry{Kind: wal.EntryRecord, Rec: msgs.MsgRecord{

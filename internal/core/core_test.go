@@ -10,12 +10,13 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
 const delta = 10 * time.Millisecond
 
-func newAuditedCluster(t *testing.T, opts harness.Options, proto core.Protocol) (*harness.Cluster, *check.WbAudit) {
+func newAuditedCluster(t *testing.T, opts harness.Options, proto protocol.Config) (*harness.Cluster, *check.WbAudit) {
 	t.Helper()
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
 	audit := check.NewWbAudit(top)
@@ -69,7 +70,7 @@ func TestConfigValidation(t *testing.T) {
 func TestFig5CollisionFreeLatency(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	dest := mcast.NewGroupSet(0, 1)
 	id := c.Submit(0, 0, dest, []byte("m"))
 	c.Sim.Run(time.Second)
@@ -102,7 +103,7 @@ func TestFig5CollisionFreeLatency(t *testing.T) {
 func TestSingleGroupIsPaxos(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 3, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	id := c.Submit(0, 0, mcast.NewGroupSet(1), nil)
 	c.Sim.Run(time.Second)
 	requireClean(t, c, audit, true)
@@ -140,7 +141,7 @@ func TestFailureFreeLatency5Delta(t *testing.T) {
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2, Latency: lat,
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	// Warm group 1's clock so that gts(m) is issued by g1 with a time
 	// component higher than the lts g0's leader will assign to m'.
 	for i := 0; i < 4; i++ {
@@ -178,7 +179,7 @@ func TestFailureFreeLatency5Delta(t *testing.T) {
 func TestMessageComplexity(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 3, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil) // d=2, n=3
 	c.Sim.Run(time.Second)
 	requireClean(t, c, audit, true)
@@ -200,7 +201,7 @@ func TestRandomWorkloads(t *testing.T) {
 		c, audit := newAuditedCluster(t, harness.Options{
 			Groups: 4, GroupSize: 3, NumClients: 5,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
-		}, core.Protocol{})
+		}, protocol.Config{Kind: protocol.WhiteBox})
 		rng := rand.New(rand.NewSource(seed))
 		c.RandomWorkload(rng, 80, 3, 300*time.Millisecond)
 		c.Sim.Run(10 * time.Second)
@@ -214,7 +215,7 @@ func TestHighContention(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 6,
 		Latency: sim.UniformJitter(delta/4, 2*delta), Seed: 3,
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	dest := mcast.NewGroupSet(0, 1)
 	for i := 0; i < 60; i++ {
 		c.Submit(time.Duration(i%7)*time.Millisecond, i%6, dest, nil)
@@ -231,7 +232,7 @@ func TestHighContention(t *testing.T) {
 func TestDisjointDestinationsParallel(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 4, GroupSize: 3, NumClients: 2, Latency: sim.Uniform(delta),
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	a := c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
 	b := c.Submit(0, 1, mcast.NewGroupSet(2, 3), nil)
 	c.Sim.Run(time.Second)
@@ -250,7 +251,7 @@ func TestFollowerCrash(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Seed: 1,
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	c.Crash(2) // follower of group 0
 	c.Crash(5) // follower of group 1
 	rng := rand.New(rand.NewSource(1))
@@ -265,7 +266,7 @@ func TestDuplicateMulticastIdempotent(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 2 * delta, // retry fires mid-flight
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
 	c.Sim.Run(time.Second)
 	requireClean(t, c, audit, true)
@@ -281,7 +282,7 @@ func TestGTSExposesTotalOrder(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 3, GroupSize: 3, NumClients: 3,
 		Latency: sim.UniformJitter(delta, delta), Seed: 9,
-	}, core.Protocol{})
+	}, protocol.Config{Kind: protocol.WhiteBox})
 	rng := rand.New(rand.NewSource(9))
 	c.RandomWorkload(rng, 50, 3, 200*time.Millisecond)
 	c.Sim.Run(10 * time.Second)

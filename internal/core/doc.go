@@ -16,7 +16,6 @@
 //	core.go     — replica state (Fig. 3) and normal operation (Fig. 4 lines 1–34)
 //	recovery.go — leader recovery (Fig. 4 lines 35–68)
 //	liveness.go — heartbeat failure detector, retries and garbage collection
-//	adapter.go  — test-harness adapter
 //
 // # Layering
 //

@@ -9,6 +9,7 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -16,11 +17,14 @@ import (
 // are pruned from every replica once all destination groups' watermarks have
 // passed them — and correctness is unaffected.
 func TestGarbageCollection(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 3 * delta,
-		SuspectTimeout:    20 * delta,
-		GCInterval:        10 * delta,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 3 * delta,
+			Suspect:   20 * delta,
+			GC:        10 * delta,
+		},
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 3, GroupSize: 3, NumClients: 3,
@@ -48,12 +52,15 @@ func TestGarbageCollection(t *testing.T) {
 // alone licenses nothing — pruning additionally waits for node.GCHorizon
 // inputs raising the application durability horizon, and never crosses it.
 func TestGCRespectsAppHorizon(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 3 * delta,
-		SuspectTimeout:    20 * delta,
-		GCInterval:        10 * delta,
-		AppGCHorizon:      true,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 3 * delta,
+			Suspect:   20 * delta,
+			GC:        10 * delta,
+		},
+		AppGCHorizon: true,
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
@@ -114,11 +121,14 @@ func TestGCRespectsAppHorizon(t *testing.T) {
 // trade-off documented in docs/PROTOCOL.md — but the system keeps running
 // and other groups still collect garbage.
 func TestGCWithCrashedFollower(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 3 * delta,
-		SuspectTimeout:    20 * delta,
-		GCInterval:        10 * delta,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 3 * delta,
+			Suspect:   20 * delta,
+			GC:        10 * delta,
+		},
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
@@ -147,11 +157,14 @@ func TestGCWithCrashedFollower(t *testing.T) {
 // TestGCSurvivesRecovery: GC interacts safely with a leader change — the
 // new leader rebuilds watermark tracking and pruning resumes.
 func TestGCSurvivesRecovery(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 3 * delta,
-		SuspectTimeout:    15 * delta,
-		GCInterval:        10 * delta,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 3 * delta,
+			Suspect:   15 * delta,
+			GC:        10 * delta,
+		},
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,

@@ -1,4 +1,4 @@
-package genmcast_test
+package core_test
 
 import (
 	"fmt"
@@ -6,23 +6,25 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/genmcast"
+	"wbcast/internal/batch"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 	"wbcast/internal/wal"
 )
 
-const delta = 10 * time.Millisecond
+// Genmcast is the white-box replica in conflict-aware delivery mode
+// (core.Config.Conflicts); these tests pin its partial-order contract.
 
-// timers returns the adapter with the liveness machinery on, matching the
-// chaos-test parametrisation of the other fault-tolerant protocols.
-func timers(rel mcast.ConflictRelation) genmcast.Protocol {
-	return genmcast.Protocol{
-		RetryInterval:     20 * delta,
-		HeartbeatInterval: 10 * delta,
-		SuspectTimeout:    40 * delta,
-		Relation:          rel,
+// timers returns a genmcast template over rel with the liveness machinery
+// on, matching the chaos-test parametrisation of the other fault-tolerant
+// protocols.
+func timers(rel mcast.ConflictRelation) protocol.Config {
+	return protocol.Config{
+		Kind:      protocol.Genmcast,
+		Timing:    protocol.DefaultTiming(delta),
+		Conflicts: mcast.NewConflictHolder(batch.Conflicts(rel)),
 	}
 }
 
@@ -48,10 +50,10 @@ func inversions(c *harness.Cluster) int {
 // TestQuiescence: the partial-order contract holds on random workloads —
 // validity, exactly-once, stamp agreement/uniqueness, conflicting pairs
 // stamp-ordered everywhere, and Termination. The harness auto-engages the
-// partial monitor via the ConflictProtocol extension.
+// partial monitor for a genmcast template.
 func TestQuiescence(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+		c, err := harness.NewCluster(timers(harness.PayloadClasses(4)), harness.Options{
 			Groups: 2, GroupSize: 3, NumClients: 3,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed, Retry: 30 * delta,
 		})
@@ -77,7 +79,7 @@ func TestQuiescence(t *testing.T) {
 func TestCommutingReordering(t *testing.T) {
 	total := 0
 	for seed := int64(0); seed < 6; seed++ {
-		c, err := harness.NewCluster(timers(genmcast.PayloadClasses(8)), harness.Options{
+		c, err := harness.NewCluster(timers(harness.PayloadClasses(8)), harness.Options{
 			Groups: 2, GroupSize: 3, NumClients: 4,
 			Latency: sim.UniformJitter(delta/4, delta), Seed: seed, Retry: 30 * delta,
 		})
@@ -132,7 +134,7 @@ func TestAllConflictIsTotalOrder(t *testing.T) {
 // leader re-releases every committed message from release sequence 1, and
 // the applied-set guard keeps the re-releases exactly-once at the followers.
 func TestLeaderFailover(t *testing.T) {
-	c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+	c, err := harness.NewCluster(timers(harness.PayloadClasses(4)), harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Seed: 5, Retry: 30 * delta,
 	})
@@ -169,7 +171,7 @@ func TestDurableRestart(t *testing.T) {
 		stores[pid] = st
 		return st, nil
 	}
-	c, err := harness.NewCluster(timers(genmcast.PayloadClasses(4)), harness.Options{
+	c, err := harness.NewCluster(timers(harness.PayloadClasses(4)), harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Seed: 9, Retry: 30 * delta,
 		Storage: storage,
@@ -202,10 +204,10 @@ func TestDurableRestart(t *testing.T) {
 
 // TestPayloadClasses pins the synthetic relation's contract.
 func TestPayloadClasses(t *testing.T) {
-	if genmcast.PayloadClasses(0) != nil || genmcast.PayloadClasses(1) != nil {
+	if harness.PayloadClasses(0) != nil || harness.PayloadClasses(1) != nil {
 		t.Error("k ≤ 1 must return the nil (all-conflict) relation")
 	}
-	rel := genmcast.PayloadClasses(4)
+	rel := harness.PayloadClasses(4)
 	a, b := []byte("alpha"), []byte("beta")
 	if !rel(a, a) {
 		t.Error("a payload must conflict with itself")

@@ -309,7 +309,7 @@ func (r *Replica) prune(fx *node.Effects) {
 			delete(r.state, id)
 			r.queue.Remove(id)
 			r.pruned++
-			if r.cfg.Durable {
+			if r.cfg.durable() {
 				pruned = append(pruned, id)
 			}
 		}

@@ -52,7 +52,7 @@ func (r *Replica) onNewLeader(from mcast.ProcessID, m msgs.NewLeader, fx *node.E
 	// The vote is a promise never to vote in a lower ballot again; it must
 	// survive a crash, or a restarted replica could vote twice and two
 	// leaders could recover conflicting states from disjoint quorums.
-	if r.cfg.Durable {
+	if r.cfg.durable() {
 		fx.Persist(wal.Entry{Kind: wal.EntryBallot, Bal: r.ballot, CBal: r.cballot, Clock: r.clock})
 	}
 	// line 41: vote, reporting the full local state. Only ACCEPTED and
@@ -174,7 +174,7 @@ func (r *Replica) onNewLeaderAck(from mcast.ProcessID, m msgs.NewLeaderAck, fx *
 	// particular it may DROP accepted entries reported by voters outside J
 	// — so it must be durable before the NEW_STATE fan-out announces it.
 	recs := r.exportState()
-	if r.cfg.Durable {
+	if r.cfg.durable() {
 		fx.Persist(wal.Entry{Kind: wal.EntryState, Bal: r.ballot, CBal: r.cballot, Clock: r.clock, Recs: recs})
 	}
 	// line 56: push the new state to the rest of the group.
@@ -212,7 +212,7 @@ func (r *Replica) onNewState(from mcast.ProcessID, m msgs.NewState, fx *node.Eff
 	r.hbSeen = true // grace period for the new leader's heartbeats
 	// The ack promises this follower holds the installed state; persist the
 	// wholesale replacement (ballot pair, clock, records) before sending it.
-	if r.cfg.Durable {
+	if r.cfg.durable() {
 		fx.Persist(wal.Entry{Kind: wal.EntryState, Bal: r.ballot, CBal: r.cballot, Clock: r.clock, Recs: r.exportState()})
 	}
 	fx.Send(from, msgs.NewStateAck{Bal: m.Bal}) // line 62

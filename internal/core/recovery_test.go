@@ -10,6 +10,7 @@ import (
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestLeaderCrashManualRecovery(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 20 * delta,
-	}, core.Protocol{RetryInterval: 20 * delta})
+	}, protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 20 * delta}})
 	m1 := c.Submit(0, 0, mcast.NewGroupSet(0, 1), []byte("before"))
 	c.Sim.Run(100 * time.Millisecond) // m1 fully delivered
 	c.Crash(0)                        // leader of group 0
@@ -71,7 +72,7 @@ func TestClockMayDecreaseOnRecovery(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 1, GroupSize: 3, NumClients: 1,
 		Latency: lat, Retry: 20 * delta,
-	}, core.Protocol{RetryInterval: 20 * delta})
+	}, protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 20 * delta}})
 	m := c.Submit(0, 0, mcast.NewGroupSet(0), []byte("m"))
 	c.Sim.Run(15 * time.Millisecond) // p0 proposed m (clock=1), ACCEPTs stuck
 	if got := replica(c, 0).Clock(); got != 1 {
@@ -135,7 +136,7 @@ func TestResurrectionPrevention(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 1, GroupSize: 5, NumClients: 2,
 		Latency: lat, Retry: 60 * delta,
-	}, core.Protocol{RetryInterval: 60 * delta})
+	}, protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 60 * delta}})
 
 	// Warm the group: two messages through L0 reach everyone and raise all
 	// clocks to 2 (so the colliding timestamps below are non-trivial).
@@ -219,10 +220,13 @@ func TestResurrectionPrevention(t *testing.T) {
 // TestAutomaticFailover exercises the full liveness stack: heartbeats,
 // suspicion, staggered candidacy and client retries, with no manual help.
 func TestAutomaticFailover(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 5 * delta,
+			Suspect:   20 * delta,
+		},
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
@@ -256,11 +260,14 @@ func TestAutomaticFailover(t *testing.T) {
 // TestColdStartElection: with ColdStart nobody leads initially; the failure
 // detector must bootstrap a leader in every group before any delivery.
 func TestColdStartElection(t *testing.T) {
-	proto := core.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
-		ColdStart:         true,
+	proto := protocol.Config{
+		Kind: protocol.WhiteBox,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 5 * delta,
+			Suspect:   20 * delta,
+		},
+		ColdStart: true,
 	}
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
@@ -290,7 +297,7 @@ func TestRecoveryWithPendingAccepted(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: lat, Retry: 25 * delta,
-	}, core.Protocol{RetryInterval: 25 * delta})
+	}, protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 25 * delta}})
 	stall = true
 	m := c.Submit(0, 0, mcast.NewGroupSet(0, 1), nil)
 	c.Sim.Run(50 * time.Millisecond)
@@ -324,7 +331,7 @@ func TestStaleBallotMessagesIgnored(t *testing.T) {
 	c, audit := newAuditedCluster(t, harness.Options{
 		Groups: 1, GroupSize: 3, NumClients: 1,
 		Latency: lat, Retry: 25 * delta,
-	}, core.Protocol{RetryInterval: 25 * delta})
+	}, protocol.Config{Kind: protocol.WhiteBox, Timing: protocol.Timing{Retry: 25 * delta}})
 	hold = true
 	m1 := c.Submit(0, 0, mcast.NewGroupSet(0), nil)
 	c.Sim.Run(50 * time.Millisecond)
@@ -352,10 +359,13 @@ func TestStaleBallotMessagesIgnored(t *testing.T) {
 // with the full liveness stack on; the specification must hold throughout.
 func TestRandomLeaderCrashes(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		proto := core.Protocol{
-			RetryInterval:     30 * delta,
-			HeartbeatInterval: 5 * delta,
-			SuspectTimeout:    20 * delta,
+		proto := protocol.Config{
+			Kind: protocol.WhiteBox,
+			Timing: protocol.Timing{
+				Retry:     30 * delta,
+				Heartbeat: 5 * delta,
+				Suspect:   20 * delta,
+			},
 		}
 		c, audit := newAuditedCluster(t, harness.Options{
 			Groups: 3, GroupSize: 3, NumClients: 4,

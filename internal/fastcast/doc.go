@@ -26,6 +26,6 @@
 // # Layering
 //
 // fastcast implements node.Handler on top of internal/paxos and
-// internal/rsm, like ftskeen but with the speculative fast path; the
-// adapter in adapter.go plugs it into the shared harness.
+// internal/rsm, like ftskeen but with the speculative fast path;
+// internal/protocol builds it for every runtime.
 package fastcast

@@ -31,10 +31,9 @@ type Config struct {
 	// Obs is the replica's instrumentation handle; nil disables metrics
 	// and tracing.
 	Obs *obs.Proto
-	// Durable enables persist effects for the Paxos substrate and the
-	// delivery frontier (see paxos.Config.Durable).
-	Durable bool
-	// Recovered, if non-empty, seeds the replica from replayed durable
+	// Recovered, when non-nil, makes the replica durable: it enables
+	// persist effects for the Paxos substrate and the delivery frontier.
+	// A non-empty Recovered also seeds the replica from replayed durable
 	// state: the Paxos log is re-applied into the ordering state machine,
 	// and the delivery watermark is restored so the application never sees
 	// a message twice across a restart.
@@ -138,7 +137,6 @@ func New(cfg Config) (*Replica, error) {
 		AckDelivered:  func() mcast.Timestamp { return r.maxDelivered },
 		OnFollowerLag: r.onFollowerLag,
 		Obs:           cfg.Obs,
-		Durable:       cfg.Durable,
 		Recovered:     cfg.Recovered,
 	}, fcApp{r})
 	if err != nil {
@@ -471,7 +469,7 @@ func (r *Replica) deliver(d mcast.Delivery, fx *node.Effects) {
 	r.maxDelivered = d.GTS
 	// The advanced watermark is durable before the application sees the
 	// delivery, so a replayed store never re-delivers.
-	if r.cfg.Durable {
+	if r.cfg.Recovered != nil {
 		fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
 	}
 	if o := r.cfg.Obs; o != nil {

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/fastcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -19,7 +19,7 @@ const delta = 10 * time.Millisecond
 // destination leader delivers at max(3δ + δ, 2δ + 2δ) = 4δ; followers
 // receive DELIVER one hop later (5δ).
 func TestCollisionFreeLatency4Delta(t *testing.T) {
-	c, err := harness.NewCluster(fastcast.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestCollisionFreeLatency4Delta(t *testing.T) {
 // TestSingleGroupLatency: for a single-group message the speculative paths
 // collapse to δ + max(2δ+0, 0+2δ) = 3δ at the leader.
 func TestSingleGroupLatency(t *testing.T) {
-	c, err := harness.NewCluster(fastcast.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestSingleGroupLatency(t *testing.T) {
 // TestRandomWorkloads: full specification under conflicting workloads.
 func TestRandomWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c, err := harness.NewCluster(fastcast.Protocol{}, harness.Options{
+		c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast}, harness.Options{
 			Groups: 3, GroupSize: 3, NumClients: 4,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
 		})
@@ -89,7 +89,7 @@ func TestRandomWorkloads(t *testing.T) {
 
 // TestHighContention: conflicting burst to the same groups.
 func TestHighContention(t *testing.T) {
-	c, err := harness.NewCluster(fastcast.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 4,
 		Latency: sim.UniformJitter(delta/4, delta), Seed: 13,
 	})
@@ -112,7 +112,7 @@ func TestHighContention(t *testing.T) {
 // TestLeaderCrashRecovery: leader failover with retry-driven confirm
 // re-collection (the speculation-recovery path).
 func TestLeaderCrashRecovery(t *testing.T) {
-	c, err := harness.NewCluster(fastcast.Protocol{RetryInterval: 25 * delta}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast, Timing: protocol.Timing{Retry: 25 * delta}}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Retry: 25 * delta, Seed: 3,
 	})
@@ -141,7 +141,7 @@ func TestLeaderCrashRecovery(t *testing.T) {
 // timestamp in flight; the new leader (or the client retry) must finish the
 // message without violating the ordering.
 func TestMidSpeculationLeaderCrash(t *testing.T) {
-	c, err := harness.NewCluster(fastcast.Protocol{RetryInterval: 25 * delta}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FastCast, Timing: protocol.Timing{Retry: 25 * delta}}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 25 * delta,
 	})
@@ -167,10 +167,13 @@ func TestMidSpeculationLeaderCrash(t *testing.T) {
 
 // TestAutomaticFailover: heartbeat-driven failover end to end.
 func TestAutomaticFailover(t *testing.T) {
-	proto := fastcast.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
+	proto := protocol.Config{
+		Kind: protocol.FastCast,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 5 * delta,
+			Suspect:   20 * delta,
+		},
 	}
 	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,

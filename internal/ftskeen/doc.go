@@ -19,6 +19,6 @@
 // # Layering
 //
 // ftskeen implements node.Handler on top of internal/paxos and
-// internal/rsm; the harness adapter in adapter.go plugs it into the same
-// workloads, fault schedules and checks as the other protocols.
+// internal/rsm; internal/protocol builds it for every runtime, so it runs
+// the same workloads, fault schedules and checks as the other protocols.
 package ftskeen

@@ -32,10 +32,9 @@ type Config struct {
 	// Obs is the replica's instrumentation handle; nil disables metrics
 	// and tracing.
 	Obs *obs.Proto
-	// Durable enables persist effects for the Paxos substrate and the
-	// delivery frontier (see paxos.Config.Durable).
-	Durable bool
-	// Recovered, if non-empty, seeds the replica from replayed durable
+	// Recovered, when non-nil, makes the replica durable: it enables
+	// persist effects for the Paxos substrate and the delivery frontier.
+	// A non-empty Recovered also seeds the replica from replayed durable
 	// state: the Paxos log is re-applied into the ordering state machine,
 	// and deliveries at or below the recovered frontier are suppressed so
 	// the application never sees a message twice across a restart.
@@ -69,7 +68,7 @@ type Replica struct {
 	obsAt map[mcast.MsgID]*time.Duration
 
 	// maxDelivered is the application-delivery frontier, persisted before
-	// each delivery (Durable) and used at recovery to suppress re-delivery
+	// each delivery (when durable) and used at recovery to suppress re-delivery
 	// of the replayed prefix. FT-Skeen's delivery order is log-determined,
 	// so the frontier is only consulted while booting from a recovered log.
 	maxDelivered mcast.Timestamp
@@ -119,7 +118,6 @@ func New(cfg Config) (*Replica, error) {
 		ColdStart:         cfg.ColdStart,
 		OnLead:            r.onLead,
 		Obs:               cfg.Obs,
-		Durable:           cfg.Durable,
 		Recovered:         cfg.Recovered,
 	}, paxosApp{r})
 	if err != nil {
@@ -268,7 +266,7 @@ func (r *Replica) drain(fx *node.Effects) {
 		r.maxDelivered = d.GTS
 		// The advanced frontier is durable before the application sees the
 		// delivery, so a replayed store never re-delivers.
-		if r.cfg.Durable {
+		if r.cfg.Recovered != nil {
 			fx.Persist(wal.Entry{Kind: wal.EntryFrontier, Max: d.GTS, Last: d.GTS})
 		}
 		if o := r.cfg.Obs; o != nil {

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 )
 
@@ -18,7 +18,7 @@ const delta = 10 * time.Millisecond
 // the paper (§IV, §VI): MULTICAST (δ) + consensus (2δ) + PROPOSE (δ) +
 // consensus (2δ) = 6δ at destination leaders; followers learn one hop later.
 func TestCollisionFreeLatency6Delta(t *testing.T) {
-	c, err := harness.NewCluster(ftskeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestCollisionFreeLatency6Delta(t *testing.T) {
 // TestSingleGroupLatency: a single-group message still costs two consensus
 // instances in the black-box design: δ + 2δ + 0 (self PROPOSE) + 2δ = 5δ.
 func TestSingleGroupLatency(t *testing.T) {
-	c, err := harness.NewCluster(ftskeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -71,7 +71,7 @@ func TestSingleGroupLatency(t *testing.T) {
 // TestRandomWorkloads: full specification under conflicting workloads.
 func TestRandomWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c, err := harness.NewCluster(ftskeen.Protocol{}, harness.Options{
+		c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen}, harness.Options{
 			Groups: 3, GroupSize: 3, NumClients: 4,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
 		})
@@ -89,7 +89,7 @@ func TestRandomWorkloads(t *testing.T) {
 
 // TestHighContention: conflicting burst to the same groups.
 func TestHighContention(t *testing.T) {
-	c, err := harness.NewCluster(ftskeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 4,
 		Latency: sim.UniformJitter(delta/4, delta), Seed: 2,
 	})
@@ -113,7 +113,7 @@ func TestHighContention(t *testing.T) {
 // leader takes over the log, the retry machinery re-drives in-flight
 // messages, and Termination holds.
 func TestLeaderCrashRecovery(t *testing.T) {
-	c, err := harness.NewCluster(ftskeen.Protocol{RetryInterval: 25 * delta}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen, Timing: protocol.Timing{Retry: 25 * delta}}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,
 		Latency: sim.Uniform(delta), Retry: 25 * delta, Seed: 6,
 	})
@@ -142,7 +142,7 @@ func TestLeaderCrashRecovery(t *testing.T) {
 // timestamp but before the commit consensus; the new leader must finish the
 // job from the recovered log.
 func TestMidFlightLeaderCrash(t *testing.T) {
-	c, err := harness.NewCluster(ftskeen.Protocol{RetryInterval: 25 * delta}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.FTSkeen, Timing: protocol.Timing{Retry: 25 * delta}}, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 1,
 		Latency: sim.Uniform(delta), Retry: 25 * delta,
 	})
@@ -168,10 +168,13 @@ func TestMidFlightLeaderCrash(t *testing.T) {
 
 // TestAutomaticFailover: heartbeat-driven failover without manual help.
 func TestAutomaticFailover(t *testing.T) {
-	proto := ftskeen.Protocol{
-		RetryInterval:     30 * delta,
-		HeartbeatInterval: 5 * delta,
-		SuspectTimeout:    20 * delta,
+	proto := protocol.Config{
+		Kind: protocol.FTSkeen,
+		Timing: protocol.Timing{
+			Retry:     30 * delta,
+			Heartbeat: 5 * delta,
+			Suspect:   20 * delta,
+		},
 	}
 	c, err := harness.NewCluster(proto, harness.Options{
 		Groups: 2, GroupSize: 3, NumClients: 2,

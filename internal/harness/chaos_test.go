@@ -8,15 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
+	"wbcast/internal/batch"
 	"wbcast/internal/faults"
-	"wbcast/internal/ftskeen"
-	"wbcast/internal/genmcast"
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
-	"wbcast/internal/skeen"
 )
 
 // Chaos schedule exploration: every seed deterministically generates a
@@ -39,11 +36,11 @@ const (
 	chaosQuiet   = 6 * time.Second  // all faults healed/cleared by here
 )
 
-// chaosRow is one protocol's entry in the chaos matrix: the adapter with
-// its liveness machinery enabled, plus the cluster shape and fault budget
-// it tolerates.
+// chaosRow is one protocol's entry in the chaos matrix: the replica
+// template with its liveness machinery enabled, plus the cluster shape and
+// fault budget it tolerates.
 type chaosRow struct {
-	proto harness.Protocol
+	proto protocol.Config
 	// groupSize is 3 for the replicated protocols and 1 for plain Skeen,
 	// which has no intra-group replication.
 	groupSize int
@@ -51,41 +48,30 @@ type chaosRow struct {
 	// Skeen assumes reliable processes, so crash/restart and partitions are
 	// off the table (the pattern the kv chaos suite uses for it too).
 	benign bool
-	// durable reports whether the adapter implements StorageProtocol; rows
+	// durable reports whether the protocol keeps durable state; rows
 	// without it are skipped by the durable chaos variants.
 	durable bool
 }
 
+// name is the row's subtest name.
+func (r chaosRow) name() string { return r.proto.Kind.String() }
+
 // chaosRows returns the five-protocol chaos matrix. The fault-tolerant
-// adapters get retries, heartbeats and failure detection — fault recovery
+// protocols get retries, heartbeats and failure detection — fault recovery
 // is timer-driven, so chaos runs need the timers the quiescence tests turn
 // off. The genmcast row uses a sparse synthetic conflict relation so
 // commuting reorderings actually occur under the partial-order monitor.
 func chaosRows() []chaosRow {
-	d := chaosDelta
+	timing := protocol.DefaultTiming(chaosDelta)
 	return []chaosRow{
-		{proto: core.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			GCInterval:        50 * d,
-		}, groupSize: 3, durable: true},
-		{proto: fastcast.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-		}, groupSize: 3, durable: true},
-		{proto: ftskeen.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-		}, groupSize: 3, durable: true},
-		{proto: skeen.Protocol{}, groupSize: 1, benign: true},
-		{proto: genmcast.Protocol{
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Relation:          genmcast.PayloadClasses(4),
+		{proto: protocol.Config{Kind: protocol.WhiteBox, Timing: timing}, groupSize: 3, durable: true},
+		{proto: protocol.Config{Kind: protocol.FastCast, Timing: timing}, groupSize: 3, durable: true},
+		{proto: protocol.Config{Kind: protocol.FTSkeen, Timing: timing}, groupSize: 3, durable: true},
+		{proto: protocol.Config{Kind: protocol.Skeen}, groupSize: 1, benign: true},
+		{proto: protocol.Config{
+			Kind:      protocol.Genmcast,
+			Timing:    timing,
+			Conflicts: mcast.NewConflictHolder(batch.Conflicts(harness.PayloadClasses(4))),
 		}, groupSize: 3, durable: true},
 	}
 }
@@ -226,7 +212,7 @@ func TestChaos(t *testing.T) {
 	}
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			for _, seed := range seeds {
 				runChaos(t, row, seed)
 			}
@@ -244,7 +230,7 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			a, ta := runChaos(t, row, seed)
 			b, tb := runChaos(t, row, seed)
 			if !bytes.Equal(a, b) {
@@ -262,12 +248,12 @@ func TestChaosDeterministic(t *testing.T) {
 			// Fault-injection steps must appear interleaved with the
 			// protocol stages (every plan has at least the quiet-period
 			// heal), and sampled messages must reach delivery — stage
-			// events only exist for adapters with the observability
-			// extension (plain Skeen has none).
+			// events only exist for instrumented protocols (plain Skeen
+			// has none).
 			if !bytes.Contains(ta, []byte("fault")) {
 				t.Errorf("seed %d: no fault events in the trace", seed)
 			}
-			if _, traced := row.proto.(harness.ProtocolObs); traced {
+			if row.proto.Kind != protocol.Skeen {
 				if !bytes.Contains(ta, []byte("deliver")) {
 					t.Errorf("seed %d: no deliver stages in the trace", seed)
 				}
@@ -283,7 +269,7 @@ func TestChaosDeterministic(t *testing.T) {
 func TestChaosLeaderPartitionReplicaRestart(t *testing.T) {
 	for _, row := range chaosRows() {
 		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if row.benign {
 				t.Skip("plain Skeen assumes reliable processes; no crash/partition budget")
 			}

@@ -94,9 +94,9 @@ func TestChaosDurable(t *testing.T) {
 	}
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
+				t.Skipf("%s has no durable state", row.name())
 			}
 			for _, seed := range seeds {
 				runChaosDurable(t, row, seed, memStorage())
@@ -121,9 +121,9 @@ func TestChaosDurableDiskDeterministic(t *testing.T) {
 	}
 	for _, row := range chaosRows() {
 		row := row
-		t.Run(row.proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", row.proto.Name())
+				t.Skipf("%s has no durable state", row.name())
 			}
 			a := runChaosDurable(t, row, seed, diskStorage(t.TempDir()))
 			b := runChaosDurable(t, row, seed, diskStorage(t.TempDir()))
@@ -160,9 +160,9 @@ func TestChaosFlakyStorage(t *testing.T) {
 	const victim = mcast.ProcessID(1) // follower of group 0
 	for _, row := range chaosRows() {
 		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", proto.Name())
+				t.Skipf("%s has no durable state", row.name())
 			}
 			fails := 0
 			storage := func(pid mcast.ProcessID) (wal.Storage, error) {
@@ -216,9 +216,9 @@ func TestChaosFlakyStorage(t *testing.T) {
 func TestDurableRestartLosesUnsynced(t *testing.T) {
 	for _, row := range chaosRows() {
 		proto := row.proto
-		t.Run(proto.Name(), func(t *testing.T) {
+		t.Run(row.name(), func(t *testing.T) {
 			if !row.durable {
-				t.Skipf("%s has no durability support (StorageProtocol)", proto.Name())
+				t.Skipf("%s has no durable state", row.name())
 			}
 			plan := &faults.Plan{}
 			plan.At(800*time.Millisecond, faults.Crash{P: 2})

@@ -1,12 +1,14 @@
 // Package harness wires protocol replicas, clients, the simulator and the
 // correctness checker into ready-made clusters for integration tests and
-// latency experiments. Every protocol package exposes an adapter satisfying
-// Protocol, so the same random workloads, fault schedules and checks run
-// against Skeen's protocol, FT-Skeen, FastCast and the white-box protocol.
+// latency experiments. Replicas are built by protocol.New from one
+// template Config, so the same random workloads, fault schedules and
+// checks run against Skeen's protocol, FT-Skeen, FastCast, the white-box
+// protocol and genmcast.
 package harness
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"time"
@@ -19,52 +21,10 @@ import (
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 	"wbcast/internal/wal"
 )
-
-// Protocol abstracts over the four multicast implementations. Adapters are
-// defined in each protocol package (structurally, without importing this
-// one).
-type Protocol interface {
-	// Name identifies the protocol in test output.
-	Name() string
-	// NewReplica builds the handler for replica pid of the topology.
-	NewReplica(pid mcast.ProcessID, top *mcast.Topology) (node.Handler, error)
-	// Contacts returns the per-group MULTICAST targets (e.g. the initial
-	// leader guess Cur_leader[g]).
-	Contacts(top *mcast.Topology) func(g mcast.GroupID) []mcast.ProcessID
-}
-
-// ProtocolObs is the optional observability extension of Protocol: adapters
-// that implement it receive an instrumentation handle per replica, so
-// harness runs can record stage timelines and recovery events. The
-// fault-tolerant adapters (core, fastcast, ftskeen) implement it; adapters
-// without it fall back to the plain NewReplica path, untraced.
-type ProtocolObs interface {
-	NewReplicaObs(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto) (node.Handler, error)
-}
-
-// StorageProtocol is the optional durability extension of Protocol:
-// adapters that implement it build replicas that emit persist effects for
-// every crash-surviving state transition and replay a recovered state
-// before joining. Options.Storage requires it — the fault-tolerant
-// adapters (core, fastcast, ftskeen, genmcast) implement it.
-type StorageProtocol interface {
-	NewReplicaStored(pid mcast.ProcessID, top *mcast.Topology, po *obs.Proto, rs *wal.State) (node.Handler, error)
-}
-
-// ConflictProtocol is the optional conflict-aware extension of Protocol:
-// adapters that implement it (genmcast) deliver under the partial-order
-// contract of generic multicast — only conflicting deliveries are mutually
-// ordered. NewCluster switches the continuous monitor to partial-order mode
-// over the returned relation, and Check verifies the relaxed Ordering and
-// per-process stamp checks against it. A nil relation means every pair
-// conflicts (the strict contract still relaxed of the per-group gap check,
-// since re-released slots make the delivery *sequences* diverge harmlessly).
-type ConflictProtocol interface {
-	Conflicts() func(a, b mcast.AppMsg) bool
-}
 
 // Options configures a simulated cluster.
 type Options struct {
@@ -86,11 +46,11 @@ type Options struct {
 	// Faults, when non-nil, installs a deterministic fault schedule
 	// (internal/faults): crash/restart, partitions, per-link
 	// drop/duplicate/delay/reorder and clock skew, fired at virtual-time or
-	// message-count triggers. Pair it with timers on the Protocol adapter
+	// message-count triggers. Pair it with timers in the template's Timing
 	// (retries, heartbeats) — fault recovery is timer-driven.
 	Faults *faults.Plan
-	// Storage, when non-nil, gives every replica a durable store (the
-	// protocol adapter must implement StorageProtocol): persist effects are
+	// Storage, when non-nil, gives every replica a durable store (Skeen
+	// has no durable state and refuses one): persist effects are
 	// appended and synced before the sends of the same Handle call, restarts
 	// rebuild the replica by replaying its store instead of resurrecting its
 	// in-memory state, and a storage error crash-stops the process. Pair a
@@ -111,9 +71,8 @@ type Options struct {
 
 // Cluster is a simulated deployment of one protocol.
 type Cluster struct {
-	Proto Protocol
-	Sim   *sim.Sim
-	Top   *mcast.Topology
+	Sim *sim.Sim
+	Top *mcast.Topology
 	// Clients holds the client handlers: *client.Client, or *batch.Client
 	// when Options.Batching is set.
 	Clients  []node.Handler
@@ -136,11 +95,9 @@ type Cluster struct {
 	monitored int // prefix already poured into Monitor
 	nextSeq   uint32
 	crashed   map[mcast.ProcessID]bool
-	// conflicts is the partial-order conflict relation of a
-	// ConflictProtocol run (a nil relation is stored as all-conflict);
+	// conflicts is the partial-order conflict relation of a genmcast run;
 	// nil for the total-order protocols.
-	conflicts func(a, b mcast.AppMsg) bool
-	// Delta is the base latency used by DefaultLatency-derived helpers.
+	conflicts  func(a, b mcast.AppMsg) bool
 	onComplete func(id mcast.MsgID)
 }
 
@@ -150,27 +107,32 @@ func ClientPID(top *mcast.Topology, i int) mcast.ProcessID {
 }
 
 // NewCluster builds a cluster: replicas per the topology, plus clients.
-func NewCluster(p Protocol, opts Options) (*Cluster, error) {
+// Every replica is protocol.New of tmpl with its PID, the topology, an
+// instrumentation handle (when tracing) and its recovered state (with
+// Storage) filled in.
+func NewCluster(tmpl protocol.Config, opts Options) (*Cluster, error) {
 	if opts.Groups <= 0 || opts.GroupSize <= 0 {
 		return nil, fmt.Errorf("harness: need positive Groups and GroupSize")
+	}
+	if opts.Storage != nil && tmpl.Kind == protocol.Skeen {
+		return nil, fmt.Errorf("harness: Options.Storage set but skeen has no durable state")
 	}
 	if opts.NumClients <= 0 {
 		opts.NumClients = 1
 	}
 	top := mcast.UniformTopology(opts.Groups, opts.GroupSize)
 	c := &Cluster{
-		Proto:    p,
 		Top:      top,
 		Replicas: make(map[mcast.ProcessID]node.Handler),
 		hist:     check.NewHistory(),
 		crashed:  make(map[mcast.ProcessID]bool),
 	}
 	c.Monitor = check.NewMonitor(top)
-	if cp, ok := p.(ConflictProtocol); ok {
-		c.conflicts = cp.Conflicts()
-		if c.conflicts == nil {
-			c.conflicts = func(a, b mcast.AppMsg) bool { return true }
-		}
+	if tmpl.Kind == protocol.Genmcast {
+		// Generic multicast orders only conflicting deliveries: the
+		// monitor and Check verify the partial-order contract over the
+		// replicas' own relation (a nil holder is all-conflict).
+		c.conflicts = tmpl.Conflicts.Conflicts
 		c.Monitor = check.NewPartialMonitor(top, c.conflicts)
 	}
 	// The trace clock is virtual time; the closure reads c.Sim, assigned
@@ -223,56 +185,45 @@ func NewCluster(p Protocol, opts Options) (*Cluster, error) {
 	if c.Engine != nil {
 		c.Engine.Bind(s)
 	}
-	po, _ := p.(ProtocolObs)
-	sp, _ := p.(StorageProtocol)
-	if opts.Storage != nil && sp == nil {
-		return nil, fmt.Errorf("harness: Options.Storage set but %s's adapter does not implement StorageProtocol", p.Name())
-	}
 	if opts.Storage != nil {
 		c.Stores = make(map[mcast.ProcessID]wal.Storage)
 	}
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		var ph *obs.Proto
-		if c.Tracer != nil && po != nil {
+		cfg := tmpl
+		cfg.PID, cfg.Top = pid, top
+		if c.Tracer != nil {
 			// Trace-only handles: a nil registry keeps the metrics
 			// unscrapeable but the stage events flowing into the tracer.
-			ph = obs.NewProto(nil, clock, c.Tracer, pid)
+			cfg.Obs = obs.NewProto(nil, clock, c.Tracer, pid)
 		}
-		var h node.Handler
-		var err error
-		switch {
-		case opts.Storage != nil:
-			st, serr := opts.Storage(pid)
-			if serr != nil {
-				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, serr)
+		if opts.Storage != nil {
+			st, err := opts.Storage(pid)
+			if err != nil {
+				return nil, fmt.Errorf("harness: storage for replica %d: %w", pid, err)
 			}
 			c.Stores[pid] = st
-			rs, lerr := st.Load()
-			if lerr != nil {
-				return nil, fmt.Errorf("harness: recovering replica %d: %w", pid, lerr)
+			if cfg.Recovered, err = st.Load(); err != nil {
+				return nil, fmt.Errorf("harness: recovering replica %d: %w", pid, err)
 			}
-			h, err = sp.NewReplicaStored(pid, top, ph, rs)
 			s.SetStorage(pid, st)
-			pid, ph := pid, ph
 			rebuilds[pid] = func() (node.Handler, error) {
 				rs, err := st.Load()
 				if err != nil {
 					return nil, err
 				}
-				return sp.NewReplicaStored(pid, top, ph, rs)
+				cfg := cfg
+				cfg.Recovered = rs
+				return protocol.New(cfg)
 			}
-		case ph != nil:
-			h, err = po.NewReplicaObs(pid, top, ph)
-		default:
-			h, err = p.NewReplica(pid, top)
 		}
+		h, err := protocol.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("harness: replica %d: %w", pid, err)
 		}
 		c.Replicas[pid] = h
 		s.Add(h)
 	}
-	contacts := p.Contacts(top)
+	contacts := protocol.Contacts(top)
 	blanket := func(g mcast.GroupID) []mcast.ProcessID { return top.Members(g) }
 	complete := func(id mcast.MsgID) {
 		if c.onComplete != nil {
@@ -477,4 +428,22 @@ func (c *Cluster) MaxDeliveryLatency(id mcast.MsgID, dest mcast.GroupSet) (time.
 		}
 	}
 	return max, true
+}
+
+// PayloadClasses returns a synthetic conflict relation that hashes payloads
+// into k classes: two payloads conflict iff they land in the same class.
+// Genmcast chaos runs use it so roughly 1/k of message pairs conflict —
+// enough commuting pairs for early releases (and cross-replica
+// reorderings) to actually occur, while every class still exercises the
+// ordered path. k ≤ 1 returns nil (every pair conflicts).
+func PayloadClasses(k int) mcast.ConflictRelation {
+	if k <= 1 {
+		return nil
+	}
+	class := func(p []byte) uint32 {
+		h := fnv.New32a()
+		h.Write(p)
+		return h.Sum32() % uint32(k)
+	}
+	return func(a, b []byte) bool { return class(a) == class(b) }
 }

@@ -31,9 +31,6 @@ type Config struct {
 	// make the blocking-channel deadlock (a cycle of processes stalled
 	// on each other's full mailboxes) impossible by construction.
 	MailboxSize int
-	// OnDeliver receives every application delivery; it is invoked from
-	// the delivering process's goroutine and must not block for long.
-	OnDeliver func(p mcast.ProcessID, d mcast.Delivery)
 	// Logf, if non-nil, receives diagnostics (storage-failure crash-stops).
 	Logf func(format string, args ...any)
 }
@@ -110,6 +107,7 @@ type proc struct {
 	pid     mcast.ProcessID
 	h       node.Handler
 	store   wal.Storage
+	deliver func(mcast.Delivery)
 	crashed chan struct{}
 	crashMu sync.Once
 
@@ -150,13 +148,15 @@ func (p *proc) nudge() {
 
 // Add registers a handler. Handlers added after Start (e.g. late-joining
 // clients) are launched immediately.
-func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil) }
+func (n *Network) Add(h node.Handler) error { return n.AddStored(h, nil, nil) }
 
 // AddStored registers a handler backed by a durable store: persist effects
 // are appended and synced before any send or delivery of the same Handle
 // call, and a storage error crash-stops the process. A nil store discards
-// persist effects (no durability).
-func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
+// persist effects (no durability). deliver, if non-nil, receives the
+// process's application deliveries; it is invoked from the process's
+// goroutine and must not block for long.
+func (n *Network) AddStored(h node.Handler, st wal.Storage, deliver func(mcast.Delivery)) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -172,6 +172,7 @@ func (n *Network) AddStored(h node.Handler, st wal.Storage) error {
 		pid:     pid,
 		h:       h,
 		store:   st,
+		deliver: deliver,
 		crashed: make(chan struct{}),
 		box:     ring.New[envelope](n.cfg.MailboxSize),
 		wake:    make(chan struct{}, 1),
@@ -379,9 +380,9 @@ func (p *proc) apply(fx *node.Effects) {
 			return
 		}
 	}
-	for _, d := range fx.Deliveries {
-		if p.net.cfg.OnDeliver != nil {
-			p.net.cfg.OnDeliver(p.pid, d)
+	if p.deliver != nil {
+		for _, d := range fx.Deliveries {
+			p.deliver(d)
 		}
 	}
 	for _, tm := range fx.Timers {

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"wbcast/internal/client"
-	"wbcast/internal/core"
 	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 )
 
 // echo replies to heartbeats and counts receptions.
@@ -117,20 +117,18 @@ func TestWhiteBoxEndToEndLive(t *testing.T) {
 	top := mcast.UniformTopology(2, 3)
 	var mu sync.Mutex
 	delivered := make(map[mcast.ProcessID][]mcast.Delivery)
-	n := live.New(live.Config{
-		Latency: live.LAN(),
-		OnDeliver: func(p mcast.ProcessID, d mcast.Delivery) {
-			mu.Lock()
-			delivered[p] = append(delivered[p], d)
-			mu.Unlock()
-		},
-	})
+	n := live.New(live.Config{Latency: live.LAN()})
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		r, err := core.NewReplica(core.DefaultConfig(pid, top, 2*time.Millisecond))
+		r, err := protocol.New(protocol.Config{Kind: protocol.WhiteBox, PID: pid, Top: top, Timing: protocol.DefaultTiming(2 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.Add(r); err != nil {
+		deliver := func(d mcast.Delivery) {
+			mu.Lock()
+			delivered[pid] = append(delivered[pid], d)
+			mu.Unlock()
+		}
+		if err := n.AddStored(r, nil, deliver); err != nil {
 			t.Fatal(err)
 		}
 	}

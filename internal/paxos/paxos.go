@@ -50,13 +50,12 @@ type Config struct {
 	// Obs is the embedding protocol's instrumentation handle; Paxos records
 	// its elections and step-downs on it. Nil disables.
 	Obs *obs.Proto
-	// Durable, when true, emits a persist effect for every crash-surviving
-	// transition — the promise pair before a P1b vote, accepted slots
-	// before their P2b, chosen slots before the Learn — so the hosting
-	// runtime syncs them before the corresponding message leaves.
-	Durable bool
-	// Recovered, if non-nil, seeds the replica from replayed durable state
-	// (promise pair and log). The replica restarts as a follower; the
+	// Recovered, when non-nil, makes the replica durable: it emits a
+	// persist effect for every crash-surviving transition — the promise
+	// pair before a P1b vote, accepted slots before their P2b, chosen
+	// slots before the Learn — so the hosting runtime syncs them before
+	// the corresponding message leaves. It also seeds the replica from
+	// replayed durable state (promise pair and log). The replica restarts as a follower; the
 	// executed frontier is NOT restored here — the embedding protocol
 	// calls Replay to re-apply the committed prefix into its state machine.
 	Recovered *wal.State
@@ -156,7 +155,7 @@ func (r *Replica) Replay(fx *node.Effects) {
 // persistBallot logs the promise pair; called before the P1b/P2b vote it
 // backs leaves the process.
 func (r *Replica) persistBallot(fx *node.Effects) {
-	if r.cfg.Durable {
+	if r.cfg.Recovered != nil {
 		fx.Persist(wal.Entry{Kind: wal.EntryPaxosBallot, Bal: r.bal, CBal: r.cbal})
 	}
 }
@@ -164,7 +163,7 @@ func (r *Replica) persistBallot(fx *node.Effects) {
 // persistSlot logs one log slot's current (vbal, cmd, committed) value;
 // called before the P2b or Learn the slot backs leaves the process.
 func (r *Replica) persistSlot(slot uint64, e *entry, fx *node.Effects) {
-	if r.cfg.Durable {
+	if r.cfg.Recovered != nil {
 		fx.Persist(wal.Entry{Kind: wal.EntryPaxosCmd, Slot: slot, Bal: e.vbal, Cmd: e.cmd, Committed: e.committed})
 	}
 }

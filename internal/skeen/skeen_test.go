@@ -8,6 +8,7 @@ import (
 	"wbcast/internal/harness"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
+	"wbcast/internal/protocol"
 	"wbcast/internal/sim"
 	"wbcast/internal/skeen"
 )
@@ -25,7 +26,7 @@ func TestRejectsReplicatedGroups(t *testing.T) {
 }
 
 func TestSingleMessageSingleGroup(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 3, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -49,7 +50,7 @@ func TestSingleMessageSingleGroup(t *testing.T) {
 // TestCollisionFreeLatency2Delta verifies Skeen's collision-free latency of
 // 2δ (paper §III): one MULTICAST delay plus one PROPOSE exchange.
 func TestCollisionFreeLatency2Delta(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 4, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -73,7 +74,7 @@ func TestCollisionFreeLatency2Delta(t *testing.T) {
 // TestProposeComplexity: each of the d destination processes sends PROPOSE
 // to all d destinations (including itself), so d² PROPOSE messages flow.
 func TestProposeComplexity(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 5, GroupSize: 1, NumClients: 1, Latency: sim.Uniform(delta),
 	})
 	if err != nil {
@@ -107,7 +108,7 @@ func TestConvoyEffectFig2(t *testing.T) {
 		}
 		return delta
 	}
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 2, Latency: lat,
 	})
 	if err != nil {
@@ -147,7 +148,7 @@ func TestConvoyEffectFig2(t *testing.T) {
 // and jitter settings, and verifies the full specification plus genuineness.
 func TestRandomWorkloads(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+		c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 			Groups: 5, GroupSize: 1, NumClients: 4,
 			Latency: sim.UniformJitter(delta/2, delta), Seed: seed,
 		})
@@ -166,7 +167,7 @@ func TestRandomWorkloads(t *testing.T) {
 // TestHighContention: all messages to the same two groups, submitted in a
 // burst, must still be delivered in one total order.
 func TestHighContention(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 8,
 		Latency: sim.UniformJitter(delta/4, 2*delta), Seed: 42,
 	})
@@ -190,7 +191,7 @@ func TestHighContention(t *testing.T) {
 // TestDuplicateMulticastIdempotent: re-sending MULTICAST must not assign a
 // second timestamp or deliver twice (Integrity).
 func TestDuplicateMulticastIdempotent(t *testing.T) {
-	c, err := harness.NewCluster(skeen.Protocol{}, harness.Options{
+	c, err := harness.NewCluster(protocol.Config{Kind: protocol.Skeen}, harness.Options{
 		Groups: 2, GroupSize: 1, NumClients: 1,
 		Latency: sim.Uniform(delta),
 		Retry:   3 * delta, // retries fire while the first attempt is in flight

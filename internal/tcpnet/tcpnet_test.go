@@ -8,10 +8,10 @@ import (
 
 	"wbcast/internal/batch"
 	"wbcast/internal/client"
-	"wbcast/internal/core"
 	"wbcast/internal/mcast"
 	"wbcast/internal/msgs"
 	"wbcast/internal/node"
+	"wbcast/internal/protocol"
 	"wbcast/internal/tcpnet"
 )
 
@@ -33,7 +33,7 @@ func TestWhiteBoxOverTCP(t *testing.T) {
 	delivered := make(map[mcast.ProcessID][]mcast.Delivery)
 
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		r, err := core.NewReplica(core.DefaultConfig(pid, top, 2*time.Millisecond))
+		r, err := protocol.New(protocol.Config{Kind: protocol.WhiteBox, PID: pid, Top: top, Timing: protocol.DefaultTiming(2 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestBatchedClientOverTCP(t *testing.T) {
 	delivered := make(map[mcast.ProcessID][]mcast.Delivery)
 
 	for pid := mcast.ProcessID(0); int(pid) < top.NumReplicas(); pid++ {
-		r, err := core.NewReplica(core.DefaultConfig(pid, top, 2*time.Millisecond))
+		r, err := protocol.New(protocol.Config{Kind: protocol.WhiteBox, PID: pid, Top: top, Timing: protocol.DefaultTiming(2 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}

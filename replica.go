@@ -37,7 +37,7 @@ type Replica struct {
 // NewReplica builds, starts and returns replica pid of the topology
 // described by cfg, hosted on cfg.Transport. The replica participates in
 // ordering from the moment NewReplica returns; deliveries are observed
-// through Deliveries/Subscribe (or cfg.OnDeliver).
+// through Deliveries/Subscribe.
 //
 // pid must be a replica slot of the topology: 0 ≤ pid < Groups×Replicas,
 // assigned group-major (replica pid belongs to group pid/Replicas).
@@ -127,18 +127,6 @@ func newReplicaOn(cfg Config, top *mcast.Topology, pid ProcessID) (*Replica, err
 			}
 			return n
 		})
-	if cfg.OnDeliver != nil {
-		// The callback contract is an adapter over a lossless
-		// subscription: a dedicated goroutine drains it, so the callback
-		// runs off the replica's critical path while per-replica delivery
-		// order is preserved.
-		sub := r.Subscribe(cfg.DeliveryBuffer, Backpressure)
-		go func() {
-			for d := range sub.C() {
-				cfg.OnDeliver(pid, d)
-			}
-		}()
-	}
 	if err := cfg.Transport.add(h, hostOptions{
 		onDeliver: r.dispatch,
 		reg:       reg,
@@ -317,9 +305,10 @@ type AppState struct {
 	// the process died appears here and nowhere else. Applications replay
 	// the suffix past their own recovered position. Replay is populated
 	// from the white-box protocol's message records; records already
-	// garbage-collected (DisableGC unset) are not recoverable this way —
-	// services that persist every applied record before acknowledging only
-	// need Replay for the unacknowledged tail.
+	// garbage-collected are not recoverable this way (Config.AppGCHorizon
+	// holds them until the application reports them durable) — services
+	// that persist every applied record before acknowledging only need
+	// Replay for the unacknowledged tail.
 	Replay []Delivery
 }
 

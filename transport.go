@@ -126,15 +126,14 @@ type TransportStats struct {
 // injects artificial one-way delays (see LAN and WAN for the paper's
 // testbed profiles).
 func InProcess() Transport {
-	return &inProcTransport{deliver: make(map[ProcessID]func(Delivery))}
+	return &inProcTransport{}
 }
 
 type inProcTransport struct {
-	mu      sync.Mutex
-	net     *live.Network
-	deliver map[ProcessID]func(Delivery)
-	clock   obs.Clock
-	tracer  *obs.Tracer
+	mu     sync.Mutex
+	net    *live.Network
+	clock  obs.Clock
+	tracer *obs.Tracer
 }
 
 func (t *inProcTransport) open(cfg *Config) error {
@@ -149,20 +148,8 @@ func (t *inProcTransport) open(cfg *Config) error {
 	if t.net != nil {
 		return nil
 	}
-	t.net = live.New(live.Config{
-		Latency:   cfg.Latency,
-		OnDeliver: t.dispatch,
-	})
+	t.net = live.New(live.Config{Latency: cfg.Latency})
 	return t.net.Start()
-}
-
-func (t *inProcTransport) dispatch(p mcast.ProcessID, d mcast.Delivery) {
-	t.mu.Lock()
-	fn := t.deliver[p]
-	t.mu.Unlock()
-	if fn != nil {
-		fn(d)
-	}
 }
 
 func (t *inProcTransport) add(h node.Handler, opts hostOptions) error {
@@ -170,9 +157,6 @@ func (t *inProcTransport) add(h node.Handler, opts hostOptions) error {
 	if t.net == nil {
 		t.mu.Unlock()
 		return fmt.Errorf("wbcast: transport not opened")
-	}
-	if opts.onDeliver != nil {
-		t.deliver[h.ID()] = opts.onDeliver
 	}
 	n := t.net
 	t.mu.Unlock()
@@ -183,7 +167,7 @@ func (t *inProcTransport) add(h node.Handler, opts hostOptions) error {
 		func() int64 { return n.MailboxDepth(pid) })
 	opts.reg.RegisterFunc(obs.MetricMailboxHighWater, "largest input-queue length observed", obs.KindGauge,
 		func() int64 { return n.MailboxHighWater(pid) })
-	return n.AddStored(h, opts.store)
+	return n.AddStored(h, opts.store, opts.onDeliver)
 }
 
 func (t *inProcTransport) inject(pid ProcessID, in node.Input) error {
@@ -593,16 +577,12 @@ func (t *tcpTransport) add(h node.Handler, opts hostOptions) error {
 	for p, a := range t.peers {
 		peers[p] = a
 	}
-	var deliver func(mcast.Delivery)
-	if opts.onDeliver != nil {
-		deliver = opts.onDeliver
-	}
 	n, err := tcpnet.Serve(tcpnet.Config{
 		PID:        pid,
 		ListenAddr: listen,
 		Peers:      peers,
 		Handler:    h,
-		OnDeliver:  deliver,
+		OnDeliver:  opts.onDeliver,
 		Storage:    opts.store,
 		Logf:       t.logf,
 		// The node maintains these counters directly; its Stats() and the

@@ -37,8 +37,7 @@
 // order; the GTS exposes the system-wide total order to applications such
 // as replicated state machines and shared logs. Deliveries are consumed
 // through pull-based subscriptions (Replica.Deliveries, with configurable
-// buffering and drop policy — see DeliveryPolicy); Config.OnDeliver remains
-// as a push-style adapter over a lossless subscription.
+// buffering and drop policy — see DeliveryPolicy).
 //
 // # Batching
 //
@@ -71,14 +70,11 @@ import (
 	"time"
 
 	"wbcast/internal/batch"
-	"wbcast/internal/core"
-	"wbcast/internal/fastcast"
-	"wbcast/internal/ftskeen"
 	"wbcast/internal/live"
 	"wbcast/internal/mcast"
 	"wbcast/internal/node"
 	"wbcast/internal/obs"
-	"wbcast/internal/skeen"
+	"wbcast/internal/protocol"
 	"wbcast/internal/wal"
 )
 
@@ -108,22 +104,22 @@ const NoProcess = mcast.NoProcess
 func NewGroupSet(groups ...GroupID) GroupSet { return mcast.NewGroupSet(groups...) }
 
 // Protocol selects the multicast implementation.
-type Protocol int
+type Protocol = protocol.Kind
 
 // Available protocols.
 const (
 	// WhiteBox is the paper's protocol: 3δ collision-free, 5δ failure-free.
-	WhiteBox Protocol = iota + 1
+	WhiteBox = protocol.WhiteBox
 	// FastCast is the baseline of Coelho et al.: 4δ / 8δ.
-	FastCast
+	FastCast = protocol.FastCast
 	// FTSkeen is the classical black-box baseline: 6δ / 12δ.
-	FTSkeen
+	FTSkeen = protocol.FTSkeen
 	// Skeen is the original non-fault-tolerant protocol of Skeen (4δ): it
 	// assumes reliable processes, requires singleton groups (Replicas must
 	// be 1) and ignores Config.Storage. It is the latency floor the paper's
 	// baselines are measured against; production deployments use the
 	// fault-tolerant protocols above.
-	Skeen
+	Skeen = protocol.Skeen
 	// Genmcast is the conflict-aware generalisation of WhiteBox (generic
 	// multicast in the sense of Bolina et al.): it runs the same timestamp
 	// and ballot machinery but only orders messages that conflict under
@@ -134,46 +130,18 @@ const (
 	// order of commuting messages may differ between replicas. GC of
 	// delivered messages is disabled (as for the FastCast and FTSkeen
 	// baselines).
-	Genmcast
+	Genmcast = protocol.Genmcast
 )
-
-// String returns the protocol's canonical name, accepted by
-// ParseProtocol.
-func (p Protocol) String() string {
-	switch p {
-	case WhiteBox:
-		return "wbcast"
-	case FastCast:
-		return "fastcast"
-	case FTSkeen:
-		return "ftskeen"
-	case Skeen:
-		return "skeen"
-	case Genmcast:
-		return "genmcast"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
 
 // ParseProtocol resolves a protocol name — "wbcast", "fastcast", "ftskeen",
 // "skeen" or "genmcast" — to its Protocol value. Command-line tools use it
 // so the accepted names match Protocol.String.
 func ParseProtocol(name string) (Protocol, error) {
-	switch name {
-	case "wbcast":
-		return WhiteBox, nil
-	case "fastcast":
-		return FastCast, nil
-	case "ftskeen":
-		return FTSkeen, nil
-	case "skeen":
-		return Skeen, nil
-	case "genmcast":
-		return Genmcast, nil
-	default:
-		return 0, fmt.Errorf("wbcast: unknown protocol %q (want wbcast, fastcast, ftskeen, skeen or genmcast)", name)
+	k, err := protocol.Parse(name)
+	if err != nil {
+		return 0, fmt.Errorf("wbcast: %w", err)
 	}
+	return k, nil
 }
 
 // ConflictRelation reports whether two application payloads conflict —
@@ -329,12 +297,6 @@ type Config struct {
 	// DeliveryPolicy decides what a full subscription does with further
 	// deliveries (default Backpressure — lossless).
 	DeliveryPolicy DeliveryPolicy
-	// OnDeliver, when non-nil, receives every delivery at every replica of
-	// the deployment. It is an adapter over a lossless subscription: a
-	// per-replica goroutine invokes the callback in delivery order, off
-	// the replica's critical path. Pull-based consumers use
-	// Replica.Deliveries instead.
-	OnDeliver func(p ProcessID, d Delivery)
 	// Conflicts is the application's conflict relation, honoured by the
 	// Genmcast protocol only (setting it with any other protocol is a
 	// validation error). Nil treats every pair of payloads as conflicting.
@@ -343,9 +305,6 @@ type Config struct {
 	// refine the relation later through Replica.SetConflictRelation (the kv
 	// service installs its key-based relation automatically).
 	Conflicts ConflictRelation
-	// DisableGC turns off garbage collection of delivered messages
-	// (WhiteBox only; the baselines retain delivered state regardless).
-	DisableGC bool
 	// AppGCHorizon gates garbage collection on an application durability
 	// horizon (WhiteBox only): a delivered message's protocol record is
 	// pruned only once the watermark conditions hold AND the application
@@ -354,7 +313,7 @@ type Config struct {
 	// discard a record the app would still need replayed after a crash.
 	// Nothing is pruned before the first AdvanceGCHorizon call; durable
 	// applications (e.g. kv.AttachShard with Persist) raise the horizon
-	// automatically. Supersedes the DisableGC footgun for durable apps.
+	// automatically.
 	AppGCHorizon bool
 	// Batching, when non-nil, batches each client's payloads into
 	// protocol-level multicasts per destination set (see the package
@@ -486,86 +445,31 @@ func (cfg Config) normalized() (Config, error) {
 	return cfg, nil
 }
 
-// newProtocolHandler is the one construction point for protocol replicas,
-// shared by Cluster, NewReplica and (through them) every command-line
-// binary. Timing is derived from cfg.Delta; on the plain simulated
-// transport the background timers (retries, heartbeats, failure detection,
-// GC) are disabled so runs quiesce and replay identically — unless the
-// transport runs in chaos mode (SimulatedOptions.Faults), where the
-// timer-driven recovery machinery is exactly what is under test.
+// newProtocolHandler builds the handler of replica pid through
+// protocol.New, for Cluster, NewReplica and (through them) every
+// command-line binary. Timing is derived from cfg.Delta; on the plain
+// simulated transport the background timers (retries, heartbeats, failure
+// detection, GC) are disabled so runs quiesce and replay identically —
+// unless the transport runs in chaos mode (SimulatedOptions.Faults), where
+// the timer-driven recovery machinery is exactly what is under test.
 //
 // rs, when non-nil, makes the replica durable: it emits persist effects
 // for every crash-surviving state transition and replays rs — the folded
 // state of its Storage — before joining (a cold store passes an Empty
-// state, which replays to nothing).
+// state, which replays to nothing). Skeen ignores it.
 func newProtocolHandler(cfg Config, top *mcast.Topology, pid ProcessID, po *obs.Proto, rs *wal.State) (node.Handler, error) {
-	d := cfg.Delta
-	det := !cfg.Transport.backgroundTimers()
-	durable := rs != nil
-	switch cfg.Protocol {
-	case WhiteBox:
-		rc := core.DefaultConfig(pid, top, d)
-		rc.Obs = po
-		rc.Durable = durable
-		rc.Recovered = rs
-		if cfg.DisableGC {
-			rc.GCInterval = 0
-		}
-		rc.AppGCHorizon = cfg.AppGCHorizon
-		if det {
-			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
-		}
-		return core.NewReplica(rc)
-	case FastCast:
-		fc := fastcast.Config{
-			PID: pid, Top: top,
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Obs:               po,
-			Durable:           durable,
-			Recovered:         rs,
-		}
-		if det {
-			fc.RetryInterval, fc.HeartbeatInterval, fc.SuspectTimeout = 0, 0, 0
-		}
-		return fastcast.New(fc)
-	case FTSkeen:
-		fc := ftskeen.Config{
-			PID: pid, Top: top,
-			RetryInterval:     20 * d,
-			HeartbeatInterval: 10 * d,
-			SuspectTimeout:    40 * d,
-			Obs:               po,
-			Durable:           durable,
-			Recovered:         rs,
-		}
-		if det {
-			fc.RetryInterval, fc.HeartbeatInterval, fc.SuspectTimeout = 0, 0, 0
-		}
-		return ftskeen.New(fc)
-	case Skeen:
-		// Skeen's protocol assumes reliable processes: no timers, no
-		// durable state — rs is ignored (Config.Storage still records the
-		// app-level entries of services layered on the replica).
-		return skeen.New(pid, top)
-	case Genmcast:
-		// The white-box machinery in conflict-aware delivery mode. GC is
-		// forced off by the core (the release log and applied set reference
-		// every delivered message).
-		rc := core.DefaultConfig(pid, top, d)
-		rc.Obs = po
-		rc.Durable = durable
-		rc.Recovered = rs
-		rc.Conflicts = cfg.conflicts
-		rc.AppGCHorizon = cfg.AppGCHorizon
-		if det {
-			rc.RetryInterval, rc.HeartbeatInterval, rc.SuspectTimeout, rc.GCInterval = 0, 0, 0, 0
-		}
-		return core.NewReplica(rc)
-	default:
-		return nil, fmt.Errorf("wbcast: unknown protocol %v", cfg.Protocol)
+	var t protocol.Timing
+	if cfg.Transport.backgroundTimers() {
+		t = protocol.DefaultTiming(cfg.Delta)
 	}
+	return protocol.New(protocol.Config{
+		Kind: cfg.Protocol, PID: pid, Top: top,
+		Timing:       t,
+		Obs:          po,
+		Recovered:    rs,
+		Conflicts:    cfg.conflicts,
+		AppGCHorizon: cfg.AppGCHorizon,
+	})
 }
 
 // LAN returns the paper's LAN latency profile for Config.Latency: a

@@ -3,6 +3,7 @@ package wbcast_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -35,21 +36,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestQuickstartFlow(t *testing.T) {
+// collectDeliveries subscribes to every replica of c and gathers each
+// replica's deliveries in order on a goroutine of its own. The returned
+// function snapshots what has arrived so far.
+func collectDeliveries(c *wbcast.Cluster) func() map[wbcast.ProcessID][]wbcast.Delivery {
 	var mu sync.Mutex
-	delivered := map[wbcast.ProcessID][]wbcast.Delivery{}
-	c, err := wbcast.New(wbcast.Config{
-		Groups: 2,
-		OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-			mu.Lock()
-			delivered[p] = append(delivered[p], d)
-			mu.Unlock()
-		},
-	})
+	got := map[wbcast.ProcessID][]wbcast.Delivery{}
+	for _, r := range c.Replicas() {
+		sub := r.Deliveries()
+		go func(p wbcast.ProcessID) {
+			for d := range sub.C() {
+				mu.Lock()
+				got[p] = append(got[p], d)
+				mu.Unlock()
+			}
+		}(r.ID())
+	}
+	return func() map[wbcast.ProcessID][]wbcast.Delivery {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(got)
+	}
+}
+
+func TestQuickstartFlow(t *testing.T) {
+	c, err := wbcast.New(wbcast.Config{Groups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	collected := collectDeliveries(c)
 	cl, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +81,7 @@ func TestQuickstartFlow(t *testing.T) {
 	// The synchronous Multicast already guarantees first delivery per
 	// group; give followers a beat to catch up.
 	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
+	delivered := collected()
 	for _, p := range c.GroupMembers(0) {
 		if len(delivered[p]) != 2 {
 			t.Errorf("group-0 replica %d delivered %d messages, want 2", p, len(delivered[p]))
@@ -123,21 +138,12 @@ func TestContextCancellation(t *testing.T) {
 func TestAllProtocolsEndToEnd(t *testing.T) {
 	for _, proto := range []wbcast.Protocol{wbcast.WhiteBox, wbcast.FastCast, wbcast.FTSkeen} {
 		t.Run(proto.String(), func(t *testing.T) {
-			var mu sync.Mutex
-			count := 0
-			c, err := wbcast.New(wbcast.Config{
-				Protocol: proto,
-				Groups:   3,
-				OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-					mu.Lock()
-					count++
-					mu.Unlock()
-				},
-			})
+			c, err := wbcast.New(wbcast.Config{Protocol: proto, Groups: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			collected := collectDeliveries(c)
 			cl, err := c.NewClient()
 			if err != nil {
 				t.Fatal(err)
@@ -151,8 +157,10 @@ func TestAllProtocolsEndToEnd(t *testing.T) {
 				}
 			}
 			time.Sleep(100 * time.Millisecond)
-			mu.Lock()
-			defer mu.Unlock()
+			count := 0
+			for _, ds := range collected() {
+				count += len(ds)
+			}
 			if count != 10*2*3 { // 10 messages × 2 groups × 3 replicas
 				t.Errorf("deliveries = %d, want %d", count, 60)
 			}
@@ -191,24 +199,18 @@ func TestBatchingPublicAPI(t *testing.T) {
 		submitters = 4
 		perWorker  = 25
 	)
-	var mu sync.Mutex
-	delivered := map[wbcast.ProcessID][]wbcast.Delivery{}
 	c, err := wbcast.New(wbcast.Config{
 		Groups: 2,
 		Batching: &wbcast.Batching{
 			MaxBatchMsgs:  8,
 			MaxBatchDelay: time.Millisecond,
 		},
-		OnDeliver: func(p wbcast.ProcessID, d wbcast.Delivery) {
-			mu.Lock()
-			delivered[p] = append(delivered[p], d)
-			mu.Unlock()
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	collected := collectDeliveries(c)
 	cl, err := c.NewClient()
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +237,7 @@ func TestBatchingPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // followers catch up
-	mu.Lock()
-	defer mu.Unlock()
+	delivered := collected()
 	total := submitters * perWorker
 	var reference []string
 	for _, p := range append(c.GroupMembers(0), c.GroupMembers(1)...) {
